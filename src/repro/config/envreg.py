@@ -99,10 +99,6 @@ REGISTRY = _declare(
            "Use the pre-predecode interpretive execute paths "
            "(differential-testing escape hatch).",
            key="harness.slowpath"),
-    EnvVar("REPRO_SUPERBLOCK", "bool", False,
-           "Emulator dispatches one compiled function per superblock "
-           "instead of one closure per instruction (REPRO_SLOWPATH "
-           "wins when both are set).", key="emu.superblock"),
     EnvVar("REPRO_SHARED_IMAGES", "bool", True,
            "Batch runner groups same-(workload, scale) jobs into one "
            "worker so the program image and predecode/superblock "

@@ -6,11 +6,14 @@ memory for every program. It can also record the committed dynamic trace,
 which the analysis tools use for branch statistics.
 """
 
+import collections
+
 from repro.isa.instruction import INST_BYTES
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.predecode import slowpath_enabled, superblock_enabled
+from repro.isa.predecode import slowpath_enabled
 from repro.isa.program import STACK_TOP
 from repro.isa.registers import NUM_ARCH_REGS, reg_num
+from repro.isa.superblock import trace_flags
 from repro.emu.memory import SparseMemory
 from repro.utils.bits import MASK64, wrap64, to_unsigned
 
@@ -44,7 +47,7 @@ class Emulator:
     """Sequential interpreter over a :class:`~repro.isa.program.Program`."""
 
     def __init__(self, program, init_regs=None, sp=STACK_TOP,
-                 superblock=None):
+                 superblock=True):
         self.program = program
         self.memory = SparseMemory(program.initial_memory())
         self.regs = [0] * NUM_ARCH_REGS
@@ -68,13 +71,13 @@ class Emulator:
         self._slow = slowpath_enabled()
         self._pd_by_pc = program.predecode().by_pc
         # Faster still: superblock dispatch, one call per straight-line
-        # block (REPRO_SUPERBLOCK / emu.superblock, or the explicit
-        # ``superblock=`` override). Slowpath wins when both are set.
-        if superblock is None:
-            superblock = superblock_enabled()
+        # block, for every run_until pass. The table is compiled on the
+        # first run_until, never here, so single-stepping users (the
+        # lockstep checker) do not pay for it. ``superblock=False``
+        # keeps the per-instruction closure path as the differential
+        # reference; slowpath disables both.
+        self._block_dispatch = superblock and not self._slow
         self._sb_by_pc = None
-        if superblock and not self._slow:
-            self._sb_by_pc = program.superblocks().by_pc
         # Instructions fully retired by the current superblock before it
         # raised (see the guard in repro.isa.superblock.compile_block).
         self._sb_progress = 0
@@ -151,67 +154,90 @@ class Emulator:
         self.pc = next_pc
 
     # ------------------------------------------------------------------
-    def run_until(self, max_insts, on_inst=None):
-        """Step until ``halt`` or the instruction budget is reached.
+    def run_until(self, max_insts, on_block=None, trace=None):
+        """Run until ``halt`` or the instruction budget is reached.
 
-        The single budgeted stepper behind :meth:`run`, :meth:`run_trace`
-        and the sampling profiler. ``on_inst(pc, inst)`` is invoked after
-        every executed instruction (``pc`` is the instruction's own
-        address); the callback may inspect ``last_branch_taken`` /
-        ``last_mem_addr`` / ``pc`` for the executed semantics. Returns
-        True when the program halted, False when the budget ran out
-        first (callers decide whether that is an error).
+        The single budgeted runner behind :meth:`run`, :meth:`run_trace`
+        and the sampling passes. Returns True when the program halted,
+        False when the budget ran out first (callers decide whether that
+        is an error).
+
+        ``on_block(pc, n_insts, ends_branch)`` is called after every
+        executed block: ``pc`` is its first instruction, ``n_insts`` how
+        many instructions it retired, and ``ends_branch`` whether the
+        last of them was a control instruction (so ``self.pc`` starts a
+        new basic block). Per-instruction residue steps report
+        one-instruction blocks, so every dispatch mode yields the same
+        instruction stream; a block that raises reports the prefix it
+        retired before the exception propagates.
+
+        ``trace=(branches, mems)`` appends the checkpoint warmup records
+        to two sinks (lists or deques): ``(pc, taken, target, flags)``
+        per executed control instruction and ``(addr, is_write)`` per
+        memory access, in program order.
         """
-        if self._slow:
-            step = self.step
-            if on_inst is None:
-                while not self.halted and self.inst_count < max_insts:
-                    step()
-            else:
-                while not self.halted and self.inst_count < max_insts:
-                    pc_before = self.pc
-                    inst = step()
-                    on_inst(pc_before, inst)
-            return self.halted
-
-        # Fast path: dispatch through the predecoded closures with the
-        # per-instruction state in locals; inst_count is committed back
-        # even when a closure (or the bounds check) raises.
+        if not self._block_dispatch:
+            return self._run_steps(max_insts, on_block, trace)
+        table = self._sb_by_pc
+        if table is None:
+            table = self._sb_by_pc = self.program.superblocks().by_pc
+        sb_get = table.get
         get = self._pd_by_pc.get
         regs = self.regs
+        if trace is not None:
+            branch_append = trace[0].append
+            mem_append = trace[1].append
         count = self.inst_count
+        # Block-granular dispatch with the per-instruction state in
+        # locals; inst_count is committed back even when a block (or the
+        # bounds check) raises. Per-inst stepping covers the residue —
+        # pcs off the leader set (e.g. an indirect jump into a block's
+        # middle) and blocks that would overrun the budget.
         try:
-            if on_inst is None:
-                if self._sb_by_pc is not None:
-                    # Block-granular dispatch: one call per superblock.
-                    # Per-inst stepping covers the residue — pcs off the
-                    # leader set (e.g. an indirect jump into a block's
-                    # middle) and blocks that would overrun the budget.
-                    sb_get = self._sb_by_pc.get
-                    while not self.halted and count < max_insts:
-                        blk = sb_get(self.pc)
-                        if blk is not None \
-                                and count + blk.length <= max_insts:
-                            try:
-                                self.pc = blk.fn(self, regs)
-                            except BaseException:
-                                # The guard already restored self.pc to
-                                # the raising instruction; commit only
-                                # the instructions that fully retired.
-                                count += self._sb_progress
-                                self._sb_progress = 0
-                                raise
-                            count += blk.length
+            while not self.halted and count < max_insts:
+                pc = self.pc
+                blk = sb_get(pc)
+                if blk is not None and count + blk.length <= max_insts:
+                    try:
+                        if trace is None:
+                            self.pc = blk.fn(self, regs)
                         else:
-                            rec = get(self.pc)
-                            if rec is None:
-                                raise EmulationError(
-                                    "pc %#x leaves the program"
-                                    % self.pc)
-                            self.pc = rec.exec_fn(self, regs)
-                            count += 1
-                    self.inst_count = count
-                    return self.halted
+                            self.pc = blk.traced_fn()(
+                                self, regs, branch_append, mem_append)
+                    except BaseException:
+                        # The guard already restored self.pc to the
+                        # raising instruction; commit only the
+                        # instructions that fully retired.
+                        done = self._sb_progress
+                        self._sb_progress = 0
+                        count += done
+                        if on_block is not None and done:
+                            on_block(pc, done, False)
+                        raise
+                    count += blk.length
+                    if on_block is not None:
+                        on_block(pc, blk.length, blk.ends_branch)
+                    continue
+                rec = get(pc)
+                if rec is None:
+                    raise EmulationError("pc %#x leaves the program" % pc)
+                self.pc = rec.exec_fn(self, regs)
+                count += 1
+                if trace is not None:
+                    self._record(trace, pc, rec.inst)
+                if on_block is not None:
+                    on_block(pc, 1, rec.is_branch)
+        finally:
+            self.inst_count = count
+        return self.halted
+
+    def _run_steps(self, max_insts, on_block, trace):
+        """Per-instruction :meth:`run_until` (closure path or slowpath)."""
+        if on_block is None and trace is None and not self._slow:
+            get = self._pd_by_pc.get
+            regs = self.regs
+            count = self.inst_count
+            try:
                 while not self.halted and count < max_insts:
                     rec = get(self.pc)
                     if rec is None:
@@ -219,19 +245,27 @@ class Emulator:
                             "pc %#x leaves the program" % self.pc)
                     self.pc = rec.exec_fn(self, regs)
                     count += 1
-            else:
-                while not self.halted and count < max_insts:
-                    pc_before = self.pc
-                    rec = get(pc_before)
-                    if rec is None:
-                        raise EmulationError(
-                            "pc %#x leaves the program" % pc_before)
-                    self.pc = rec.exec_fn(self, regs)
-                    count += 1
-                    on_inst(pc_before, rec.inst)
-        finally:
-            self.inst_count = count
+            finally:
+                self.inst_count = count
+            return self.halted
+        step = self.step
+        while not self.halted and self.inst_count < max_insts:
+            pc = self.pc
+            inst = step()
+            if trace is not None:
+                self._record(trace, pc, inst)
+            if on_block is not None:
+                on_block(pc, 1, inst.is_branch)
         return self.halted
+
+    def _record(self, trace, pc, inst):
+        """Append one executed instruction's warmup record (the
+        per-instruction twin of the traced superblocks)."""
+        if inst.is_branch:
+            trace[0].append((pc, 1 if self.last_branch_taken else 0,
+                             self.pc, trace_flags(inst)))
+        elif inst.is_load or inst.is_store:
+            trace[1].append((self.last_mem_addr, 1 if inst.is_store else 0))
 
     def result(self):
         """Snapshot the current state as an :class:`EmulationResult`."""
@@ -249,21 +283,22 @@ class Emulator:
         """Run to ``halt`` recording (pc, taken, target) per control inst.
 
         Used by branch-predictor characterisation tests; the full dynamic
-        trace would be too large to keep for big runs. Taken-ness comes
-        from the executed instruction's semantics (``last_branch_taken``),
-        so a taken branch whose target happens to be the fall-through pc
-        is still recorded as taken.
+        trace would be too large to keep for big runs. The triples come
+        from the same warmup records checkpoint capture uses, so
+        taken-ness is the executed instruction's semantics: a taken
+        branch whose target happens to be the fall-through pc is still
+        recorded as taken.
         """
-        trace = []
-
-        def record(pc_before, inst):
-            if inst.is_branch:
-                trace.append((pc_before, self.last_branch_taken, self.pc))
-
-        if not self.run_until(max_insts, on_inst=record):
+        branches = []
+        if not self.run_until(max_insts, trace=(branches, _DISCARD)):
             raise EmulationError(
                 "instruction budget exhausted (%d)" % max_insts)
-        return self.result(), trace
+        return self.result(), [(pc, bool(taken), target)
+                               for pc, taken, target, _flags in branches]
+
+
+#: A sink that drops every record (run_trace keeps no memory records).
+_DISCARD = collections.deque(maxlen=0)
 
 
 def run_program(program, max_insts=50_000_000, init_regs=None):

@@ -70,13 +70,9 @@ def code_fingerprint():
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
         _FINGERPRINT = digest.hexdigest()[:16]
-    from repro.isa.predecode import slowpath_enabled, superblock_enabled
+    from repro.isa.predecode import slowpath_enabled
     if slowpath_enabled():
-        # Slowpath disables superblock dispatch, so the markers are
-        # mutually exclusive.
         return _FINGERPRINT + "-slow"
-    if superblock_enabled():
-        return _FINGERPRINT + "-sb"
     return _FINGERPRINT
 
 

@@ -70,15 +70,6 @@ def slowpath_enabled():
     return envreg.get("REPRO_SLOWPATH")
 
 
-def superblock_enabled():
-    """True when ``REPRO_SUPERBLOCK=1`` (config key ``emu.superblock``)
-    selects block-granular dispatch (:mod:`repro.isa.superblock`) for
-    the emulator fast path. Read at construction time, like
-    :func:`slowpath_enabled`; slowpath wins when both are set."""
-    from repro.config import envreg
-    return envreg.get("REPRO_SUPERBLOCK")
-
-
 class PDInst:
     """One predecoded static instruction (flat, read-only hot-path view)."""
 

@@ -34,14 +34,18 @@ Code generation mirrors the per-instruction semantic closures exactly:
   conservative count; the per-instruction paths have the analogous
   ambiguity inside a closure.)
 
-Dispatch falls back to per-instruction stepping at block exits that
-land off the leader set (e.g. an indirect jump into the middle of a
-block), for unknown PCs, when the remaining instruction budget cannot
-fit a whole block, and whenever ``on_inst`` observation or
-``REPRO_SLOWPATH`` is active. Selection is gated by the
-``emu.superblock`` runtime key (``REPRO_SUPERBLOCK``), which also
-suffixes the result-cache fingerprint (``-sb``) so block-mode results
-are never silently served to closure-mode runs or vice versa.
+Every emulator pass dispatches through these blocks; observers see
+them through one block-granular protocol (``Emulator.run_until(...,
+on_block=...)``), and per-instruction stepping covers only the residue:
+block exits that land off the leader set (e.g. an indirect jump into
+the middle of a block), unknown PCs, a remaining instruction budget
+that cannot fit a whole block, and ``REPRO_SLOWPATH``.
+
+Each block also has a *traced* variant, compiled lazily the first time
+a run asks for a warmup trace: it appends the checkpoint warmup records
+(``(pc, taken, target, flags)`` per control instruction, ``(addr,
+is_write)`` per memory access) inline, in program order, so checkpoint
+capture and ``Emulator.run_trace`` stay on block dispatch too.
 """
 
 from repro.isa.opcodes import Op
@@ -58,24 +62,70 @@ _MASK = "0x%X" % MASK64
 #: wrap64 and ``& ~1`` fused into one literal mask (jalr targets).
 _MASK_EVEN = "0x%X" % (MASK64 & ~1)
 
+#: Warmup branch-record flags (bitmask in the 4th tuple slot).
+FLAG_COND = 1
+FLAG_INDIRECT = 2
+FLAG_CALL = 4
+FLAG_RET = 8
+
+#: Register holding return addresses (``ra``) — call/return detection.
+_RA = 1
+
+
+def trace_flags(inst):
+    """Warmup-record flags of one control
+    :class:`~repro.isa.instruction.Instruction`."""
+    flags = 0
+    if inst.is_cond_branch:
+        flags |= FLAG_COND
+    if inst.is_indirect:
+        flags |= FLAG_INDIRECT
+    if inst.writes_reg and inst.dest == _RA:
+        flags |= FLAG_CALL
+    if inst.is_indirect and inst.srcs and inst.srcs[0] == _RA \
+            and inst.dest != _RA:
+        flags |= FLAG_RET
+    return flags
+
 
 class Superblock:
     """One compiled straight-line region.
 
     ``fn(emu, regs) -> next_pc`` executes every instruction of the
-    block (``length`` of them) and returns the successor pc; ``pcs``
-    holds the member instruction addresses and ``source`` the generated
-    Python (debugging / tests).
+    block (``length`` of them) and returns the successor pc;
+    ``ends_branch`` is True when the last of them is a control
+    instruction (so the successor starts a new basic block).
+    :meth:`traced_fn` is the warmup-tracing variant, compiled on first
+    use.
     """
 
-    __slots__ = ("pc", "length", "pcs", "fn", "source")
+    __slots__ = ("pc", "length", "ends_branch", "fn", "records", "traced")
 
-    def __init__(self, pc, length, pcs, fn, source):
-        self.pc = pc
-        self.length = length
-        self.pcs = pcs
+    def __init__(self, records, fn):
+        self.pc = records[0].pc
+        self.length = len(records)
+        self.ends_branch = records[-1].kind == KIND_BRANCH
         self.fn = fn
-        self.source = source
+        self.records = records
+        self.traced = None
+
+    @property
+    def pcs(self):
+        """The member instruction addresses."""
+        return tuple(rec.pc for rec in self.records)
+
+    @property
+    def source(self):
+        """The generated Python (debugging / tests; regenerated, so the
+        tables do not hold every block's text)."""
+        return _codegen(self.records)[1]
+
+    def traced_fn(self):
+        """``fn(emu, regs, branch_append, mem_append) -> next_pc``: the
+        block with its warmup records appended inline."""
+        if self.traced is None:
+            self.traced = _codegen(self.records, traced=True)[0]
+        return self.traced
 
     def __repr__(self):
         return "<Superblock %#x x%d>" % (self.pc, self.length)
@@ -163,8 +213,10 @@ def _branch_expr(op, a, b):
 # Per-instruction statement emission. ``guarded`` marks blocks holding
 # memory operations: those set the progress marker ``n`` before each
 # access so the except handler can publish an exact instruction count.
+# ``traced`` appends the warmup records through ``_ba`` (branches) and
+# ``_ma`` (memory accesses).
 # ---------------------------------------------------------------------------
-def _emit(rec, index, lines, binds, guarded):
+def _emit(rec, index, lines, binds, guarded, traced):
     kind = rec.kind
     if kind == KIND_NOP:
         return
@@ -180,6 +232,16 @@ def _emit(rec, index, lines, binds, guarded):
                                                    rec.src1)
             lines.append("_tk = %s" % cond)
             lines.append("emu.last_branch_taken = _tk")
+            if traced:
+                flags = trace_flags(rec.inst)
+                lines.append("if _tk:")
+                lines.append("    _ba((%d, 1, %d, %d))"
+                             % (rec.pc, rec.imm, flags))
+                lines.append("    return %d" % rec.imm)
+                lines.append("_ba((%d, 0, %d, %d))"
+                             % (rec.pc, rec.next_pc, flags))
+                lines.append("return %d" % rec.next_pc)
+                return
             lines.append("return %d if _tk else %d" % (rec.imm,
                                                        rec.next_pc))
             return
@@ -187,6 +249,9 @@ def _emit(rec, index, lines, binds, guarded):
             if rec.writes_reg:
                 lines.append("regs[%d] = %d" % (rec.dest, rec.next_pc))
             lines.append("emu.last_branch_taken = True")
+            if traced:
+                lines.append("_ba((%d, 1, %d, %d))"
+                             % (rec.pc, rec.imm, trace_flags(rec.inst)))
             lines.append("return %d" % rec.imm)
             return
         # jalr: target computed before the link write (so
@@ -196,6 +261,9 @@ def _emit(rec, index, lines, binds, guarded):
         if rec.writes_reg:
             lines.append("regs[%d] = %d" % (rec.dest, rec.next_pc))
         lines.append("emu.last_branch_taken = True")
+        if traced:
+            lines.append("_ba((%d, 1, _tg, %d))"
+                         % (rec.pc, trace_flags(rec.inst)))
         lines.append("return _tg")
         return
 
@@ -217,6 +285,8 @@ def _emit(rec, index, lines, binds, guarded):
             lines.append("_rd(_a, %d)" % rec.mem_size)
         lines.append("emu.last_mem_addr = _a")
         lines.append("emu.last_mem_size = %d" % rec.mem_size)
+        if traced:
+            lines.append("_ma((_a, 0))")
         return
 
     if kind == KIND_STORE:
@@ -227,6 +297,8 @@ def _emit(rec, index, lines, binds, guarded):
         lines.append("_wr(_a, regs[%d], %d)" % (rec.src0, rec.mem_size))
         lines.append("emu.last_mem_addr = _a")
         lines.append("emu.last_mem_size = %d" % rec.mem_size)
+        if traced:
+            lines.append("_ma((_a, 1))")
         return
 
     if kind == KIND_HALT:
@@ -261,6 +333,11 @@ def _emit(rec, index, lines, binds, guarded):
 def compile_block(records):
     """Compile one straight-line run of :class:`~repro.isa.predecode.
     PDInst` records into a :class:`Superblock`."""
+    return Superblock(tuple(records), _codegen(records)[0])
+
+
+def _codegen(records, traced=False):
+    """``(function, source)`` of one block (see :class:`Superblock`)."""
     has_load = any(rec.kind == KIND_LOAD for rec in records)
     has_store = any(rec.kind == KIND_STORE for rec in records)
     guarded = has_load or has_store
@@ -268,7 +345,7 @@ def compile_block(records):
     binds = {}
     body = []
     for index, rec in enumerate(records):
-        _emit(rec, index, body, binds, guarded)
+        _emit(rec, index, body, binds, guarded, traced)
     last = records[-1]
     if last.kind not in (KIND_BRANCH, KIND_HALT):
         # Capped (or program-end) block: chain into the fall-through.
@@ -293,16 +370,14 @@ def compile_block(records):
     else:
         lines = ["    " + line for line in prologue + body]
 
-    args = ["emu", "regs"] + ["%s=%s" % (name, name)
-                              for name in sorted(binds)]
+    args = ["emu", "regs"] + (["_ba", "_ma"] if traced else []) \
+        + ["%s=%s" % (name, name) for name in sorted(binds)]
     source = "def _block(%s):\n%s\n" % (", ".join(args),
                                         "\n".join(lines))
     namespace = dict(binds)
     exec(compile(source, "<superblock %#x>" % records[0].pc, "exec"),
          namespace)
-    return Superblock(records[0].pc, len(records),
-                      tuple(rec.pc for rec in records),
-                      namespace["_block"], source)
+    return namespace["_block"], source
 
 
 # ---------------------------------------------------------------------------

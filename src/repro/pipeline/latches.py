@@ -55,6 +55,12 @@ class SquashArbiter:
     arbiter keeps only the oldest-boundary one — squashing at the older
     boundary subsumes any younger request — and the core drains it at
     cycle end via :meth:`take`.
+
+    On equal boundaries a ``"branch"`` request wins. A replay/verify
+    request for the instruction right after a branch (boundary = the
+    branch's seq) ties with that branch's misprediction; keeping the
+    replay would refetch the victim's wrong-path pc and lose the
+    branch's redirect.
     """
 
     __slots__ = ("pending",)
@@ -63,9 +69,12 @@ class SquashArbiter:
         self.pending = None
 
     def request(self, boundary_seq, trigger, kind, redirect_pc):
-        """Raise a squash request; older boundaries win arbitration."""
+        """Raise a squash request; older boundaries win arbitration,
+        and a branch wins a tie."""
         current = self.pending
-        if current is None or boundary_seq < current.boundary_seq:
+        if current is None or boundary_seq < current.boundary_seq \
+                or (boundary_seq == current.boundary_seq
+                    and kind == "branch"):
             self.pending = SquashRequest(boundary_seq, trigger, kind,
                                          redirect_pc)
 

@@ -107,36 +107,42 @@ def profile_program(program, interval_insts=DEFAULT_INTERVAL,
                          % (interval_insts,))
     emu = Emulator(program)
     intervals = []
-    state = {"leader": program.entry, "count": 0, "start": 0, "bbv": {}}
+    bbv = {}
+    leader = program.entry
 
-    def on_inst(_pc, inst):
-        bbv = state["bbv"]
-        leader = state["leader"]
-        bbv[leader] = bbv.get(leader, 0) + 1
-        if inst.is_branch:
+    def on_block(_pc, n_insts, ends_branch):
+        nonlocal leader
+        bbv[leader] = bbv.get(leader, 0) + n_insts
+        if ends_branch:
             # The next executed instruction (taken target or the
-            # fall-through) starts a new basic block either way.
-            state["leader"] = emu.pc
-        state["count"] += 1
-        if state["count"] == interval_insts:
-            intervals.append(Interval(len(intervals), state["start"],
-                                      state["count"], bbv))
-            state["start"] += state["count"]
-            state["count"] = 0
-            state["bbv"] = {}
+            # fall-through) starts a new basic block either way. Capped
+            # blocks and non-branch residue steps keep the leader.
+            leader = emu.pc
 
-    halted = emu.run_until(max_insts, on_inst=on_inst)
-    if state["count"]:
-        if intervals and state["count"] < interval_insts // 2:
+    # One run per interval: no block straddles an interval boundary.
+    start = 0
+    while True:
+        halted = emu.run_until(min(start + interval_insts, max_insts),
+                               on_block=on_block)
+        count = emu.inst_count - start
+        if count < interval_insts:
+            break
+        intervals.append(Interval(len(intervals), start, count, bbv))
+        start += count
+        count = 0
+        bbv = {}
+        if halted or start >= max_insts:
+            break
+    if count:
+        if intervals and count < interval_insts // 2:
             # Merge a short tail into the last full interval: a
             # near-empty final interval would otherwise earn a cluster
             # of its own and be dominated by pipeline-fill overhead
             # when simulated in isolation.
             last = intervals[-1]
-            for leader, count in state["bbv"].items():
-                last.bbv[leader] = last.bbv.get(leader, 0) + count
-            last.num_insts += state["count"]
+            for block, insts in bbv.items():
+                last.bbv[block] = last.bbv.get(block, 0) + insts
+            last.num_insts += count
         else:
-            intervals.append(Interval(len(intervals), state["start"],
-                                      state["count"], state["bbv"]))
+            intervals.append(Interval(len(intervals), start, count, bbv))
     return BBVProfile(interval_insts, intervals, emu.inst_count, halted)

@@ -30,15 +30,6 @@ from repro.harness.cache import (
 )
 from repro.pipeline.core import InitialState
 
-#: Branch-trace entry flags (bitmask in the 4th tuple slot).
-FLAG_COND = 1
-FLAG_INDIRECT = 2
-FLAG_CALL = 4
-FLAG_RET = 8
-
-#: Register holding return addresses (``ra``) — call/return detection.
-_RA = 1
-
 #: Default warmup trace depths.
 DEFAULT_WARMUP_BRANCHES = 2048
 DEFAULT_WARMUP_MEM = 4096
@@ -110,29 +101,12 @@ def capture_checkpoints(program, boundaries,
     branches = collections.deque(maxlen=max(1, warmup_branches))
     mems = collections.deque(maxlen=max(1, warmup_mem))
 
-    def on_inst(pc, inst):
-        if inst.is_branch:
-            flags = 0
-            if inst.is_cond_branch:
-                flags |= FLAG_COND
-            if inst.is_indirect:
-                flags |= FLAG_INDIRECT
-            if inst.writes_reg and inst.dest == _RA:
-                flags |= FLAG_CALL
-            if inst.is_indirect and inst.srcs \
-                    and inst.srcs[0] == _RA and inst.dest != _RA:
-                flags |= FLAG_RET
-            branches.append((pc, 1 if emu.last_branch_taken else 0,
-                             emu.pc, flags))
-        elif inst.is_load or inst.is_store:
-            mems.append((emu.last_mem_addr, 1 if inst.is_store else 0))
-
     out = {}
     for boundary in sorted(set(boundaries)):
         if boundary < emu.inst_count:
             raise ValueError("boundary %d precedes emulator position %d"
                              % (boundary, emu.inst_count))
-        emu.run_until(boundary, on_inst=on_inst)
+        emu.run_until(boundary, trace=(branches, mems))
         if emu.inst_count < boundary:
             raise ValueError(
                 "program halted at %d insts, before boundary %d"

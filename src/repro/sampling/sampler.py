@@ -22,6 +22,12 @@ import dataclasses
 
 from repro.frontend.tage_scl import TageSCL
 from repro.isa.instruction import INST_BYTES
+from repro.isa.superblock import (
+    FLAG_CALL,
+    FLAG_COND,
+    FLAG_INDIRECT,
+    FLAG_RET,
+)
 from repro.obs.bus import Observability
 from repro.pipeline.core import O3Core
 from repro.pipeline.stats import SimStats
@@ -29,10 +35,6 @@ from repro.sampling.bbv import DEFAULT_INTERVAL, profile_program
 from repro.sampling.checkpoint import (
     DEFAULT_WARMUP_BRANCHES,
     DEFAULT_WARMUP_MEM,
-    FLAG_CALL,
-    FLAG_COND,
-    FLAG_INDIRECT,
-    FLAG_RET,
     Checkpoint,
     capture_checkpoints,
     spec_key,

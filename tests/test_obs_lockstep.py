@@ -9,9 +9,12 @@ final-state mismatch.
 import pytest
 
 from repro.emu import Emulator
+from repro.harness.jobs import build_config, build_scheme
 from repro.isa import Assembler, Op
 from repro.isa.instruction import INST_BYTES
-from repro.obs import Observability, RingBufferSink, run_lockstep
+from repro.obs import CallbackSink, Observability, RingBufferSink, \
+    run_lockstep
+from repro.obs.events import CommitEvent
 from repro.pipeline import O3Core, baseline_config, mssr_config
 from repro.pipeline.core import SimulationError
 from repro.pipeline.stages import WritebackStage
@@ -170,3 +173,27 @@ def test_simulation_error_dump_empty_without_ring():
     with pytest.raises(SimulationError) as excinfo:
         core.run(max_cycles=40)
     assert excinfo.value.event_dump == ()
+
+
+def test_astar_ri_commits_golden_path_through_replay_branch_tie():
+    """Regression: astar under Register Integration resolves a
+    mispredicted branch in the same writeback as a replay of the
+    instruction after it. The replay used to win the boundary tie, and
+    commit #13483 (pc 0x1330) came from the wrong path. Checks the
+    committed pc stream of the first 15000 commits against the
+    emulator."""
+    _mod, prog = get_workload("astar").build(0.03)
+    emu = Emulator(prog)
+    mismatches = []
+
+    def check(event):
+        if type(event) is CommitEvent:
+            if event.pc != emu.pc:
+                mismatches.append((emu.inst_count, event.pc, emu.pc))
+            emu.step()
+
+    core = O3Core(prog, build_config("ri"), reuse_scheme=build_scheme("ri"))
+    core.obs.attach(CallbackSink(check))
+    core.run(max_insts=15000)
+    assert emu.inst_count == 15000
+    assert mismatches == []

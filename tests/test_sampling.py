@@ -178,6 +178,20 @@ def test_injected_core_finishes_program(micro_programs):
     assert result.memory == full.memory
 
 
+def test_core_resumed_mid_branch_commits_every_instruction():
+    """Regression: leela resumed at instruction 50000 hits a replay of
+    ``ld t0, 8(sp)`` in the same writeback that resolves the mispredicted
+    ``bne`` before it. The replay used to win the squash tie, so the
+    sampled final interval committed 5040 of its 5043 instructions."""
+    prog = get_workload("leela").build(1.0)[1]
+    full = Emulator(prog).run()
+    ckpt = capture_checkpoints(prog, [50000])[50000]
+    result = O3Core(prog, init_state=ckpt.initial_state()).run()
+    assert result.stats.committed_insts == full.inst_count - 50000 == 5043
+    assert result.regs == full.regs
+    assert result.memory == full.memory
+
+
 def test_checkpoint_store_roundtrip(sandbox_stores):
     store = CheckpointStore.from_env()
     assert store is not None
@@ -368,8 +382,9 @@ def test_run_until_stops_at_budget(micro_programs):
     halted = emu.run_until(123)
     assert not halted and emu.inst_count == 123
     seen = []
-    emu.run_until(125, on_inst=lambda pc, inst: seen.append(pc))
-    assert len(seen) == 2
+    emu.run_until(125, on_block=lambda pc, n, _br: seen.append((pc, n)))
+    assert emu.inst_count == 125
+    assert sum(n for _pc, n in seen) == 2
 
 
 def test_workload_scale_validation():

@@ -91,6 +91,27 @@ def test_squash_arbiter_keeps_oldest_boundary():
     assert arb.take() is None                    # drained
 
 
+def test_squash_arbiter_branch_wins_boundary_tie():
+    """A replay/verify of the instruction after a mispredicted branch
+    has the branch's own boundary; the branch must win either way
+    round, or fetch resumes on the victim's wrong-path pc."""
+    class _Dyn:
+        def __init__(self, seq):
+            self.seq = seq
+
+    for other in ("replay", "verify"):
+        arb = SquashArbiter()
+        arb.request(40, _Dyn(41), other, 0x200)      # arrives first
+        arb.request(40, _Dyn(40), "branch", 0x100)
+        arb.request(40, _Dyn(41), other, 0x200)      # and after
+        winner = arb.take()
+        assert (winner.kind, winner.redirect_pc) == ("branch", 0x100)
+        # Ties between non-branch requests keep the first.
+        arb.request(40, _Dyn(41), other, 0x200)
+        arb.request(40, _Dyn(41), "replay", 0x300)
+        assert arb.take().redirect_pc == 0x200
+
+
 # ---------------------------------------------------------------------------
 # Icache seam
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ def _state(result):
 def _run_pair(prog, max_insts=BUDGET):
     """Run ``prog`` under closure and superblock dispatch; assert every
     piece of architectural state matches and return the closure run."""
-    base = Emulator(prog)
+    base = Emulator(prog, superblock=False)
     base_halted = base.run_until(max_insts)
-    sb = Emulator(prog, superblock=True)
-    assert sb._sb_by_pc is not None
+    sb = Emulator(prog)
     sb_halted = sb.run_until(max_insts)
+    assert sb._sb_by_pc is not None
     assert base_halted == sb_halted
     assert _state(base.result()) == _state(sb.result())
     assert base.memory == sb.memory
@@ -60,9 +60,9 @@ def test_superblock_budget_boundary_random(descriptors, seeds, budget):
     """A budget landing mid-block must fall back to per-inst stepping
     for the tail: exact inst_count, never overshoot."""
     prog = _assemble(descriptors, seeds)
-    base = Emulator(prog)
+    base = Emulator(prog, superblock=False)
     base.run_until(budget)
-    sb = Emulator(prog, superblock=True)
+    sb = Emulator(prog)
     sb.run_until(budget)
     assert sb.inst_count <= budget
     assert _state(base.result()) == _state(sb.result())
@@ -114,9 +114,9 @@ def test_superblock_memory_and_observers():
     asm.halt()
     prog = asm.finish()
 
-    base = Emulator(prog)
+    base = Emulator(prog, superblock=False)
     base.run(max_insts=BUDGET)
-    sb = Emulator(prog, superblock=True)
+    sb = Emulator(prog)
     sb.run(max_insts=BUDGET)
     assert base.memory == sb.memory
     assert (base.last_mem_addr, base.last_mem_size) \
@@ -196,7 +196,7 @@ def test_superblock_unknown_pc_matches_closure():
     prog = asm.finish()
 
     states = []
-    for kwargs in ({}, {"superblock": True}):
+    for kwargs in ({"superblock": False}, {}):
         emu = Emulator(prog, **kwargs)
         with pytest.raises(EmulationError):
             emu.run_until(BUDGET)
@@ -223,7 +223,7 @@ def _misaligned_prog():
 def test_superblock_midblock_raise_exact_inst_count():
     prog = _misaligned_prog()
     states = []
-    for kwargs in ({}, {"superblock": True}):
+    for kwargs in ({"superblock": False}, {}):
         emu = Emulator(prog, **kwargs)
         with pytest.raises(ValueError, match="misaligned"):
             emu.run_until(BUDGET)
@@ -233,7 +233,7 @@ def test_superblock_midblock_raise_exact_inst_count():
     assert base == sb
     # The raising load's own pc, with everything before it committed.
     faulting = _misaligned_prog()
-    emu = Emulator(faulting, superblock=True)
+    emu = Emulator(faulting)
     with pytest.raises(ValueError):
         emu.run_until(BUDGET)
     assert emu.program.predecode().by_pc[emu.pc].is_load
@@ -244,7 +244,7 @@ def test_superblock_resume_after_midblock_raise():
     """After a mid-block fault the emulator can keep stepping from the
     faulting pc, exactly like the closure path."""
     results = []
-    for kwargs in ({}, {"superblock": True}):
+    for kwargs in ({"superblock": False}, {}):
         emu = Emulator(_misaligned_prog(), **kwargs)
         with pytest.raises(ValueError):
             emu.run_until(BUDGET)
@@ -305,7 +305,7 @@ def test_superblock_cap_chains_long_regions():
 
 
 # ---------------------------------------------------------------------------
-# Gating: env key, slowpath precedence, fingerprint, observation
+# Dispatch selection, lazy compilation, fingerprint, observation
 # ---------------------------------------------------------------------------
 def _tiny_prog():
     asm = Assembler()
@@ -317,31 +317,34 @@ def _tiny_prog():
     return asm.finish()
 
 
-def test_superblock_env_gating(monkeypatch):
+def test_superblock_is_default_and_compiled_lazily(monkeypatch):
+    """Block dispatch is the default, but the table is compiled by the
+    first run_until, never by construction or single-stepping."""
     prog = _tiny_prog()
-    monkeypatch.setenv("REPRO_SUPERBLOCK", "1")
-    assert Emulator(prog)._sb_by_pc is not None
+    emu = Emulator(prog)
+    emu.step()
+    assert prog._superblocks is None and emu._sb_by_pc is None
+    emu.run_until(BUDGET)
+    assert emu._sb_by_pc is prog.superblocks().by_pc
+    # The closure reference and the slowpath never build it.
+    prog = _tiny_prog()
+    Emulator(prog, superblock=False).run(BUDGET)
     monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    assert Emulator(prog)._sb_by_pc is None      # slowpath wins
-    monkeypatch.delenv("REPRO_SLOWPATH")
-    monkeypatch.setenv("REPRO_SUPERBLOCK", "0")
-    assert Emulator(prog)._sb_by_pc is None
-    assert Emulator(prog, superblock=True)._sb_by_pc is not None
+    Emulator(prog).run(BUDGET)
+    assert prog._superblocks is None
 
 
-def test_superblock_fingerprint_suffix(monkeypatch):
+def test_fingerprint_marks_only_slowpath(monkeypatch):
     from repro.harness.cache import code_fingerprint
     plain = code_fingerprint()
-    assert not plain.endswith(("-sb", "-slow"))
-    monkeypatch.setenv("REPRO_SUPERBLOCK", "1")
-    assert code_fingerprint() == plain + "-sb"
+    assert "-" not in plain
     monkeypatch.setenv("REPRO_SLOWPATH", "1")
     assert code_fingerprint() == plain + "-slow"
 
 
 def test_superblock_matches_slowpath(monkeypatch):
     prog = _tiny_prog()
-    sb = Emulator(prog, superblock=True)
+    sb = Emulator(prog)
     sb.run(max_insts=BUDGET)
     monkeypatch.setenv("REPRO_SLOWPATH", "1")
     slow = Emulator(prog)
@@ -351,12 +354,30 @@ def test_superblock_matches_slowpath(monkeypatch):
     assert slow.memory == sb.memory
 
 
-def test_superblock_on_inst_falls_back_per_inst():
-    """Observation (run_trace) forces per-inst stepping even with the
-    superblock table attached — traces must be per-instruction."""
-    prog = _tiny_prog()
-    base_result, base_trace = Emulator(prog).run_trace(BUDGET)
-    sb_result, sb_trace = Emulator(prog, superblock=True) \
+def test_run_trace_matches_slowpath_trace(monkeypatch):
+    """run_trace stays on block dispatch (traced blocks) and records
+    exactly the closure path's and the slowpath's triples."""
+    asm = Assembler()
+    asm.li("t0", 3)
+    asm.label("loop")
+    asm.call("leaf")
+    asm.addi("t0", "t0", -1)
+    asm.bnez("t0", "loop")
+    asm.beq("x0", "x0", "next")   # taken, target == fall-through
+    asm.label("next")
+    asm.halt()
+    asm.label("leaf")
+    asm.addi("t1", "t1", 1)
+    asm.ret()
+    prog = asm.finish()
+    sb_result, sb_trace = Emulator(prog).run_trace(BUDGET)
+    assert prog.superblocks().by_pc[prog.entry].traced is not None
+    base_result, base_trace = Emulator(prog, superblock=False) \
         .run_trace(BUDGET)
-    assert base_trace == sb_trace
-    assert _state(base_result) == _state(sb_result)
+    monkeypatch.setenv("REPRO_SLOWPATH", "1")
+    slow_result, slow_trace = Emulator(prog).run_trace(BUDGET)
+    assert sb_trace == base_trace == slow_trace
+    assert len(sb_trace) == 3 * 3 + 1
+    assert all(taken is True or taken is False
+               for _pc, taken, _tg in sb_trace)
+    assert _state(sb_result) == _state(base_result) == _state(slow_result)
