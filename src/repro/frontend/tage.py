@@ -4,8 +4,10 @@ A base bimodal table plus ``num_tables`` partially-tagged tables indexed
 with geometrically increasing global-history lengths. The provider is the
 longest-history hit; allocation on mispredictions steals a not-useful
 entry from a longer table. The global history is an unbounded Python int
-(bit 0 = most recent), folded down to index/tag widths on access — slower
-than hardware folded-history registers but bit-equivalent.
+(bit 0 = most recent), folded down to index/tag widths on access. Folds
+are memoized per table and, like hardware folded-history registers,
+derived in O(1) from the fold of the window one push earlier when that
+one is cached (:meth:`TagePredictor._folds`).
 """
 
 from repro.frontend.predictors import BranchPredictor
@@ -22,6 +24,23 @@ def _fold(value, length, bits):
         folded ^= value & mask
         value >>= bits
     return folded
+
+
+def _roll(folded, length, bits, history):
+    """``_fold(history, length, bits)`` from ``folded``, the fold of the
+    window one push earlier (``history >> 1``).
+
+    The block-XOR fold puts history bit ``i`` at position ``i % bits``.
+    One push moves every bit one position up — a left rotation within
+    ``bits`` bits — drops the bit that left the ``length``-bit window
+    (now bit ``length``, landing on position ``length % bits``) and
+    adds the new bit at position 0.
+    """
+    if bits <= 0 or length <= 0:
+        return 0
+    folded = ((folded << 1) | (folded >> (bits - 1))) & ((1 << bits) - 1)
+    return folded ^ (((history >> length) & 1) << (length % bits)) \
+        ^ (history & 1)
 
 
 class _TageEntry:
@@ -65,11 +84,11 @@ class TagePredictor(BranchPredictor):
         self._update_count = 0
         self._alloc_seed = 0xACE1
         # Folded-history memo, one per table: masked history -> the
-        # (index fold, tag fold, shifted second tag fold) triple. Real
-        # hardware keeps incrementally-updated folded registers; that
-        # uses a *different* fold function than our block-XOR `_fold`,
-        # so to stay bit-identical we memoize instead — loops revisit
-        # the same few history values, so the hit rate is high.
+        # (index fold, tag fold, shifted second tag fold) triple. Loops
+        # revisit the same few history values, so the hit rate is high;
+        # a miss one push after a cached window is rolled forward in
+        # O(1), the way hardware folded-history registers are updated
+        # (the rolled fold equals the block-XOR `_fold` exactly).
         self._hist_masks = [(1 << n) - 1 for n in self.hist_lengths]
         self._fold_caches = [{} for _ in range(num_tables)]
         self._fold_cache_limit = 1 << 16
@@ -81,15 +100,26 @@ class TagePredictor(BranchPredictor):
     def _folds(self, table, history):
         """Memoized ``(index fold, tag fold, tag fold2 << 1)`` for one
         table. ``_fold`` masks its input to the history length first, so
-        keying the cache on the masked history is exact."""
-        masked = history & self._hist_masks[table]
+        keying the cache on the masked history is exact. A miss whose
+        window one push earlier is cached rolls that entry forward
+        (:func:`_roll`) instead of re-folding the whole window."""
+        mask = self._hist_masks[table]
+        masked = history & mask
         cache = self._fold_caches[table]
         folds = cache.get(masked)
         if folds is None:
             length = self.hist_lengths[table]
-            folds = (_fold(masked, length, 10),
-                     _fold(masked, length, self.tag_bits),
-                     _fold(masked, length, self.tag_bits - 1) << 1)
+            tag_bits = self.tag_bits
+            prev = cache.get((history >> 1) & mask)
+            if prev is None:
+                folds = (_fold(masked, length, 10),
+                         _fold(masked, length, tag_bits),
+                         _fold(masked, length, tag_bits - 1) << 1)
+            else:
+                folds = (_roll(prev[0], length, 10, history),
+                         _roll(prev[1], length, tag_bits, history),
+                         _roll(prev[2] >> 1, length, tag_bits - 1,
+                               history) << 1)
             if len(cache) >= self._fold_cache_limit:
                 cache.clear()
             cache[masked] = folds

@@ -42,7 +42,9 @@ class Cache:
 
     ``replacement`` names a policy from :data:`REPLACEMENT_POLICIES`
     or is a callable ``key(line)`` handed to ``min()`` over the set's
-    ways (invalid ways should sort first). ``last_victim_line`` holds
+    ways. Invalid ways must sort first: a set's ways are created
+    lazily, and a fill into a set with fewer than ``assoc`` ways takes
+    a fresh way without consulting the key. ``last_victim_line`` holds
     the line address evicted by the most recent :meth:`fill` (None when
     the fill hit or took a free way) so an outer hierarchy can
     propagate the victim's dirty state to the next level.
@@ -74,8 +76,8 @@ class Cache:
         self.line_bytes = line_bytes
         self.latency = latency
         self.num_sets = size_bytes // (assoc * line_bytes)
-        self.sets = [[_Line() for _ in range(assoc)]
-                     for _ in range(self.num_sets)]
+        # Ways are created on first fill (see :meth:`fill`).
+        self.sets = [[] for _ in range(self.num_sets)]
         self._tick = 0
         self.hits = 0
         self.misses = 0
@@ -127,7 +129,15 @@ class Cache:
                 self.last_victim_dirty = False
                 return False
         self.fills += 1
-        victim = min(ways, key=self._victim_key)
+        if len(ways) < self.assoc:
+            # A never-filled way: the one min() would pick over a full
+            # set, whose never-filled ways sort first and tie at lru 0.
+            # Only flush() invalidates, and a flushed way is as good a
+            # victim (nothing of an invalid way outlives its refill).
+            victim = _Line()
+            ways.append(victim)
+        else:
+            victim = min(ways, key=self._victim_key)
         wrote_back = victim.valid and victim.dirty
         if victim.valid:
             self.last_victim_line = victim.tag

@@ -10,11 +10,16 @@ configuration) points:
   straight-line region (:mod:`repro.isa.superblock`) instead of one
   closure per instruction.
 * ``core`` points run the detailed :class:`~repro.pipeline.core.O3Core`
-  and report kilo-cycles per wall second.
+  and report kilo-instructions (committed) per wall second.
 * ``batch`` points run a small same-image job batch (baseline + two
   MSSR cells) through the shared-image serial path with cold workload
   caches, so the one-build-many-runs amortisation is part of the
-  measured time. Metric: total kilo-cycles per wall second.
+  measured time. Metric: total committed kilo-instructions per wall
+  second.
+
+Every point is gated on kinsts/s. Core and batch points also report
+kilo-cycles per wall second, as information only: cycles per second
+rewards runs that mostly stall.
 
 Reports are JSON (``BENCH_PIPELINE.json`` at the repo root is the
 checked-in baseline). Raw wall-clock throughput is not comparable across
@@ -46,16 +51,16 @@ _CALIBRATION_ITERS = 2_000_000
 class BenchPoint:
     """One pinned benchmark point.
 
-    ``mode`` is ``"emu"`` (functional emulator, metric kinsts/s),
-    ``"core"`` (detailed pipeline, metric kcycles/s) or ``"batch"``
-    (shared-image job batch, metric total kcycles/s). ``kind`` is a
-    harness configuration kind (``baseline``/``mssr``/...), only
-    meaningful for core points. ``variant`` selects an alternate
-    dispatch strategy of the same engine — currently ``"superblock"``
-    for emulator points. ``config`` holds extra dotted
-    configuration-tree overrides for core points (``{"mem.model":
-    "ported"}``). Both are omitted from the spec when unset so reports
-    from before the fields existed round-trip unchanged.
+    ``mode`` is ``"emu"`` (functional emulator), ``"core"`` (detailed
+    pipeline) or ``"batch"`` (shared-image job batch); every mode's
+    metric is kinsts/s. ``kind`` is a harness configuration kind
+    (``baseline``/``mssr``/...), only meaningful for core points.
+    ``variant`` selects an alternate dispatch strategy of the same
+    engine — currently ``"superblock"`` for emulator points.
+    ``config`` holds extra dotted configuration-tree overrides for core
+    points (``{"mem.model": "ported"}``). Both are omitted from the
+    spec when unset so reports from before the fields existed
+    round-trip unchanged.
     """
 
     __slots__ = ("name", "mode", "workload", "kind", "scale", "variant",
@@ -237,11 +242,11 @@ def run_bench(points=DEFAULT_MATRIX, repeats=3, log=None):
     for point in points:
         result = run_point(point, repeats=repeats)
         if log is not None:
-            metric = result.get("kcycles_per_s",
-                                result["kinsts_per_s"])
-            unit = ("kcycles/s" if point.mode in ("core", "batch")
-                    else "kinsts/s")
-            log("%-32s %10.1f %s" % (point.name, metric, unit))
+            line = "%-32s %10.1f kinsts/s" % (point.name,
+                                               result["kinsts_per_s"])
+            if "kcycles_per_s" in result:
+                line += "  (%.1f kcycles/s)" % result["kcycles_per_s"]
+            log(line)
         results.append(result)
     return results
 
@@ -355,10 +360,8 @@ def load_report(path):
 
 
 def point_metric(result):
-    """The gated metric of one result: kcycles/s for core and batch
-    points, kinsts/s for emulator points."""
-    if result["point"]["mode"] in ("core", "batch"):
-        return result["kcycles_per_s"]
+    """The gated metric of one result: kinsts/s for every point
+    (``kcycles_per_s`` is reported, not gated)."""
     return result["kinsts_per_s"]
 
 

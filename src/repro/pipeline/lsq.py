@@ -51,37 +51,37 @@ class LoadStoreQueue:
         that is the speculation that store-to-load checks later police.
         """
         base = addr & ~7
-        word0 = self.memory.read_word(base)
-        word1 = self.memory.read_word(base + 8)
-        # "Issued" is the forwarding horizon: stores latch address and
-        # data the cycle they issue, which is when their bytes become
-        # visible to younger speculative loads.
-        older = [s for s in self.stores.values()
-                 if s.seq < seq and s.issued and s.mem_addr is not None
-                 and not s.squashed
-                 and _overlap(s.mem_addr, s.mem_size, addr, size)]
-        older.sort(key=lambda s: s.seq)
-        forwarded = bool(older)
-        for store in older:
-            word0 = self._patch(word0, base, store)
-            word1 = self._patch(word1, base + 8, store)
-        combined = word0 | (word1 << 64)
-        offset = addr - base
-        value = (combined >> (offset * 8)) & ((1 << (size * 8)) - 1)
-        return value, forwarded
-
-    @staticmethod
-    def _patch(word, word_base, store):
-        lo = max(store.mem_addr, word_base)
-        hi = min(store.mem_addr + store.mem_size, word_base + 8)
-        if lo >= hi:
-            return word
-        for byte_addr in range(lo, hi):
-            byte = (store.store_data >> ((byte_addr - store.mem_addr) * 8)) \
-                & 0xFF
-            shift = (byte_addr - word_base) * 8
-            word = (word & ~(0xFF << shift)) | (byte << shift)
-        return word
+        shift = (addr - base) * 8
+        end = addr + size
+        window = self.memory.read_word(base)
+        if shift + size * 8 > 64:
+            # Only a misaligned (wrong-path) load straddles two words.
+            window |= self.memory.read_word(base + 8) << 64
+        forwarded = False
+        # ``stores`` holds dispatch order, which is seq order (stores
+        # allocate in program order and fetch seqs never rewind), so
+        # the older stores form a prefix. "Issued" is the forwarding
+        # horizon: stores latch address and data the cycle they issue,
+        # which is when their bytes become visible to younger loads.
+        for store in self.stores.values():
+            if store.seq >= seq:
+                break
+            s_addr = store.mem_addr
+            if s_addr is None or not store.issued or store.squashed:
+                continue
+            s_end = s_addr + store.mem_size
+            if s_addr >= end or addr >= s_end:
+                continue
+            forwarded = True
+            # Overwrite the bytes both cover, [lo, hi), in one step.
+            lo = s_addr if s_addr > addr else addr
+            hi = s_end if s_end < end else end
+            data = store.store_data
+            data = data << ((s_addr - base) * 8) if s_addr >= base \
+                else data >> ((base - s_addr) * 8)
+            mask = ((1 << ((hi - lo) * 8)) - 1) << ((lo - base) * 8)
+            window = (window & ~mask) | (data & mask)
+        return (window >> shift) & ((1 << (size * 8)) - 1), forwarded
 
     # ------------------------------------------------------------------
     def find_violations(self, store):

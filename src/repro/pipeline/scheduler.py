@@ -17,7 +17,15 @@ _SEQ_KEY = attrgetter("seq")
 
 
 class IssueQueue:
-    """One reservation-station pool."""
+    """One reservation-station pool.
+
+    ``size`` counts dispatched, not-yet-issued entries. Issue decrements
+    it here; squashes are the squash unit's job
+    (:meth:`~repro.pipeline.stages.squash.SquashUnit.apply` subtracts
+    the squashed, never-issued entries it pops from the ROB). Squashed
+    entries themselves stay in ``_ready``/``_waiting`` until their next
+    touch: :meth:`take_ready` and :meth:`wakeup` skip them.
+    """
 
     def __init__(self, name, capacity):
         self.name = name
@@ -82,31 +90,6 @@ class IssueQueue:
                 remaining.append(dyn)
         self._ready = remaining
         return issued
-
-    def remove_squashed(self):
-        """Reclaim capacity held by squashed instructions (lazy lists are
-        cleaned on their next touch)."""
-        self._ready = [d for d in self._ready if not d.squashed]
-        alive = self._ready_count() + sum(
-            1 for waiters in self._waiting.values()
-            for d in waiters if not d.squashed and d.wait_count > 0)
-        # Waiting lists may hold duplicates of multi-source instructions;
-        # recount precisely via a set.
-        seen = set()
-        count = 0
-        for dyn in self._ready:
-            if dyn.seq not in seen:
-                seen.add(dyn.seq)
-                count += 1
-        for waiters in self._waiting.values():
-            for dyn in waiters:
-                if not dyn.squashed and dyn.seq not in seen:
-                    seen.add(dyn.seq)
-                    count += 1
-        self.size = count
-
-    def _ready_count(self):
-        return len(self._ready)
 
 
 class FunctionUnits:

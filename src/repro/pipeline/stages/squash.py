@@ -10,6 +10,7 @@ redirecting fetch.
 
 from repro.frontend.tage_scl import TageSCL
 from repro.isa.instruction import INST_BYTES
+from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
 
 
 class SquashUnit:
@@ -85,8 +86,13 @@ class SquashUnit:
         else:
             self.scheme.on_replay_squash(request.trigger)
 
-        # 6. Free or reserve destination registers; drain LSQ/IQ entries.
+        # 6. Free or reserve destination registers; drain LSQ entries
+        #    and return the IQ slots of squashed instructions that were
+        #    dispatched into an IQ (rename's ``_dispatch_inst``) and
+        #    never issued. The IQs skip the squashed entries themselves
+        #    lazily.
         state = self.state
+        int_drained = mem_drained = 0
         for dyn in squashed:
             self.lsq.remove(dyn)
             if dyn.dest_preg is not None:
@@ -96,8 +102,15 @@ class SquashUnit:
                     self.regfile.mark_reserved(dyn.dest_preg)
                 else:
                     state.free_preg(dyn.dest_preg)
-        self.int_iq.remove_squashed()
-        self.mem_iq.remove_squashed()
+            if not dyn.issued:
+                kind = dyn.pd.kind
+                if kind < KIND_NOP and (dyn.verify_load or not dyn.reused):
+                    if kind == KIND_LOAD or kind == KIND_STORE:
+                        mem_drained += 1
+                    else:
+                        int_drained += 1
+        self.int_iq.size -= int_drained
+        self.mem_iq.size -= mem_drained
 
         # 7. Repair predictor history and RAS.
         self._repair_frontend(request, squashed_oldest_first, dropped_dyns)

@@ -1,5 +1,7 @@
 """Load/store queue: forwarding, patching, violation search."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.isa import Op, Instruction
 from repro.emu import SparseMemory
 from repro.pipeline.dyninst import DynInst
@@ -110,3 +112,80 @@ def test_commit_store_writes_memory():
     lsq.commit_store(store)
     assert lsq.memory.read(0x100, 8) == 0x42
     assert not lsq.stores
+
+
+# ---------------------------------------------------------------------------
+# Differential check of store-to-load forwarding against a byte loop
+# ---------------------------------------------------------------------------
+def _patch_bytes(word, word_base, store):
+    lo = max(store.mem_addr, word_base)
+    hi = min(store.mem_addr + store.mem_size, word_base + 8)
+    for byte_addr in range(lo, hi):
+        byte = (store.store_data >> ((byte_addr - store.mem_addr) * 8)) \
+            & 0xFF
+        shift = (byte_addr - word_base) * 8
+        word = (word & ~(0xFF << shift)) | (byte << shift)
+    return word
+
+
+def _byte_loop_read(lsq, addr, size, seq):
+    """Reference forwarding: both words around the load, patched a byte
+    at a time by every older, issued, unsquashed overlapping store in
+    seq order (the LSQ's original implementation)."""
+    base = addr & ~7
+    word0 = lsq.memory.read_word(base)
+    word1 = lsq.memory.read_word(base + 8)
+    older = sorted(
+        (s for s in lsq.stores.values()
+         if s.seq < seq and s.issued and s.mem_addr is not None
+         and not s.squashed and s.mem_addr < addr + size
+         and addr < s.mem_addr + s.mem_size),
+        key=lambda s: s.seq)
+    for store in older:
+        word0 = _patch_bytes(word0, base, store)
+        word1 = _patch_bytes(word1, base + 8, store)
+    combined = word0 | (word1 << 64)
+    value = (combined >> ((addr - base) * 8)) & ((1 << (size * 8)) - 1)
+    return value, bool(older)
+
+
+#: Region bases: an ordinary data page, and the last bytes below 2**64
+#: where a wrong-path load's second word lies past the address space.
+_REGIONS = (0x1000, (1 << 64) - 32)
+
+_store_specs = st.lists(
+    st.tuples(st.integers(0, 31),                    # offset in region
+              st.sampled_from((1, 4, 8)),            # size
+              st.integers(0, (1 << 64) - 1),         # data
+              st.sampled_from(("issued", "unissued", "squashed",
+                               "no-addr"))),
+    max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(region=st.sampled_from(_REGIONS), stores=_store_specs,
+       words=st.lists(st.integers(0, (1 << 64) - 1), min_size=4,
+                      max_size=4),
+       load_offset=st.integers(0, 31), load_size=st.sampled_from((1, 4, 8)),
+       load_seq=st.integers(0, 12))
+def test_speculative_read_matches_byte_loop(region, stores, words,
+                                            load_offset, load_size,
+                                            load_seq):
+    """Random store sets — 1/4/8-byte stores at any byte offset (so
+    partial overlaps and misaligned stores), unissued, squashed,
+    address-less and younger stores — against loads that may be
+    misaligned, straddle two words or sit right below 2**64."""
+    lsq = _lsq({region + 8 * i: word for i, word in enumerate(words)})
+    for seq, (offset, size, data, state) in enumerate(stores):
+        addr = region + offset
+        if addr + size > 1 << 64:
+            continue
+        store = _store(seq, addr, data & ((1 << (size * 8)) - 1),
+                       size=size, issued=state != "unissued")
+        store.squashed = state == "squashed"
+        if state == "no-addr":
+            store.mem_addr = None
+        lsq.allocate(store)
+    addr = region + load_offset
+    assert lsq.speculative_read(addr, load_size, load_seq) == \
+        _byte_loop_read(lsq, addr, load_size, load_seq)

@@ -1,9 +1,13 @@
 """Branch predictors: learning behaviour and history recovery."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.frontend import (
     BimodalPredictor, GSharePredictor, TagePredictor, TageSCL,
     LoopPredictor, StatisticalCorrector, build_predictor,
 )
+from repro.frontend import tage as tage_module
 
 
 def _train(pred, pc, outcomes, repeats=1):
@@ -210,3 +214,84 @@ def test_tage_meta_carries_provider_confidence():
     assert len(extra) == 5
     provider_ctr = extra[4]
     assert 0 <= provider_ctr <= 7
+
+
+# ---------------------------------------------------------------------------
+# Folded histories: the memo's rolled folds equal the block-XOR fold
+# ---------------------------------------------------------------------------
+#: Default geometry (history lengths 4..128, 10-bit tags) and a short
+#: one whose lengths fall below, on and between the fold widths, with
+#: 2-bit tags (1-bit second tag fold).
+_FOLD_GEOMETRIES = ({}, {"num_tables": 5, "min_history": 1,
+                         "max_history": 37, "tag_bits": 2})
+
+
+def _assert_folds_exact(pred):
+    history = pred.history
+    for table, length in enumerate(pred.hist_lengths):
+        want = (tage_module._fold(history, length, 10),
+                tage_module._fold(history, length, pred.tag_bits),
+                tage_module._fold(history, length, pred.tag_bits - 1) << 1)
+        assert pred._folds(table, history) == want, (table, length)
+
+
+_fold_ops = st.lists(st.one_of(
+    st.tuples(st.just("predict"), st.integers(0, 1 << 12)),
+    st.tuples(st.just("push"), st.booleans()),
+    st.tuples(st.just("restore"), st.integers(0, 63)),
+    st.tuples(st.just("recover"), st.integers(0, 63), st.booleans()),
+    st.tuples(st.just("random"), st.integers(0, (1 << 1024) - 1)),
+), min_size=1, max_size=120)
+
+
+@pytest.mark.parametrize("geometry", _FOLD_GEOMETRIES,
+                         ids=["default", "short"])
+@settings(max_examples=40, deadline=None)
+@given(ops=_fold_ops, limit=st.sampled_from((4, 64, 1 << 16)))
+def test_tage_folds_match_block_fold(geometry, ops, limit):
+    """Every table's memoized folds equal ``_fold`` after random
+    predictions, pushes, ``restore_history`` rewinds, ``recover``
+    repairs and arbitrary 1024-bit histories — also when the memo is
+    cleared at a tiny ``_fold_cache_limit`` between a window and its
+    successor."""
+    pred = TagePredictor(**geometry)
+    pred._fold_cache_limit = limit
+    metas = []
+    for op in ops:
+        if op[0] == "predict":
+            metas.append(pred.predict(op[1])[1])
+        elif op[0] == "push":
+            pred._push_history(op[1])
+        elif op[0] == "restore" and metas:
+            pred.restore_history(metas[op[1] % len(metas)].history)
+        elif op[0] == "recover" and metas:
+            pred.recover(op[2], metas[op[1] % len(metas)])
+        elif op[0] == "random":
+            pred.restore_history(op[1])
+        _assert_folds_exact(pred)
+        for cache in pred._fold_caches:
+            assert len(cache) <= limit
+
+
+def test_tage_fold_memo_rolls_consecutive_windows(monkeypatch):
+    """After the first window, each push's folds are rolled forward from
+    the previous window's instead of being folded from scratch."""
+    calls = []
+    real_fold = tage_module._fold
+
+    def counting_fold(value, length, bits):
+        calls.append(length)
+        return real_fold(value, length, bits)
+
+    monkeypatch.setattr(tage_module, "_fold", counting_fold)
+    pred = TagePredictor()
+    outcomes = 0x2545F4914F6CDD1D
+    windows = set()
+    for i in range(300):
+        windows.add(pred.history & pred._hist_masks[-1])
+        taken, meta = pred.predict(0x400 + 4 * (i % 7))
+        outcome = bool((outcomes >> (i % 64)) & 1)
+        if taken != outcome:
+            pred.recover(outcome, meta)
+    assert len(windows) > 100
+    assert len(calls) == 3 * pred.num_tables   # the first window only
