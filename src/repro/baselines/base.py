@@ -6,6 +6,13 @@ The core owns all architectural machinery; a scheme only
     marks them *reserved* and expects the scheme to free or transfer
     each exactly once), and
 (c) answers reuse queries during rename.
+
+Every hook is optional. The core resolves the per-instruction and
+per-cycle ones (:data:`RESOLVED_HOOKS`) once, when it is built, with
+:func:`resolve_hook`: a hook the scheme does not override is never
+called, so a scheme pays only for the hooks it implements. A hook
+patched onto the scheme or its class after the core was built is not
+seen.
 """
 
 
@@ -38,6 +45,11 @@ class ReuseScheme:
     """Base class; every hook is optional."""
 
     name = "none"
+
+    #: Set by a scheme whose ``on_cycle`` only reacts to RGID overflow
+    #: (MSSR's global reset, Section 3.3.2): the core then calls it only
+    #: at the end of cycles on which the RAT holds overflow events.
+    on_cycle_overflow_only = False
 
     def __init__(self):
         self.core = None
@@ -87,13 +99,7 @@ class ReuseScheme:
         """
         return None
 
-    def on_rename(self, dyn, reused):
-        """Called after every rename (reused or not)."""
-
     # -- lifecycle hooks ------------------------------------------------------
-    def on_commit(self, dyn):
-        """An instruction retired."""
-
     def on_preg_freed(self, preg):
         """The core returned ``preg`` to the free list (RI transitive
         invalidation trigger)."""
@@ -114,6 +120,21 @@ class ReuseScheme:
 
     def finalize(self):
         """End of simulation: publish scheme-specific stats."""
+
+
+#: Hooks the core calls per instruction or per cycle, resolved once per
+#: core by :func:`resolve_hook` into the like-named ``CoreState`` fields.
+RESOLVED_HOOKS = ("on_fetch_block", "try_reuse", "wants_preg",
+                  "on_preg_freed", "on_store_executed", "on_cycle")
+
+
+def resolve_hook(scheme, name):
+    """``scheme``'s bound ``name`` hook, or None when it inherits the
+    no-op of :class:`ReuseScheme` (which the caller may then skip)."""
+    hook = getattr(scheme, name)
+    if getattr(hook, "__func__", None) is getattr(ReuseScheme, name):
+        return None
+    return hook
 
 
 class NullScheme(ReuseScheme):

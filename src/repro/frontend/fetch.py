@@ -184,17 +184,14 @@ class FetchUnit:
         reached decode — the extra coverage FTQ-sourced capture buys.
         """
         flushed = self._flush_pending()
-        squashed = []
-        kept = []
-        for block in self.ftq:
-            if block.block_id > block_id:
-                block.squashed = True
-                squashed.append(block)
-            else:
-                kept.append(block)
-        self.ftq = kept
-        if keep_partial_seq is not None and kept:
-            boundary = kept[-1]
+        ftq = self.ftq
+        cut = self._suffix_start(block_id + 1)
+        squashed = ftq[cut:]
+        del ftq[cut:]
+        for block in squashed:
+            block.squashed = True
+        if keep_partial_seq is not None and ftq:
+            boundary = ftq[-1]
             trimmed = [d for d in boundary.insts
                        if d.seq <= keep_partial_seq]
             removed = boundary.insts[len(trimmed):]
@@ -225,7 +222,25 @@ class FetchUnit:
 
     def retire_block(self, block_id):
         """Deallocate FTQ entries at or before ``block_id`` (all retired)."""
-        self.ftq = [b for b in self.ftq if b.block_id > block_id]
+        ftq = self.ftq
+        count = 0
+        for block in ftq:
+            if block.block_id > block_id:
+                break
+            count += 1
+        if count:
+            del ftq[:count]
+
+    def _suffix_start(self, block_id):
+        """Index of the first FTQ block with id ``>= block_id``. The FTQ
+        is ordered by ``block_id`` (blocks are appended as predicted and
+        leave only as a retired prefix or a squashed/flushed suffix), so
+        the suffix is found from the young end."""
+        ftq = self.ftq
+        cut = len(ftq)
+        while cut and ftq[cut - 1].block_id >= block_id:
+            cut -= 1
+        return cut
 
     def _flush_pending(self):
         """Flush undelivered FTQ entries, unwinding speculative
@@ -248,13 +263,11 @@ class FetchUnit:
         if oldest.ras_snap is not None:
             self.ras.restore(oldest.ras_snap)
         flushed = list(pending)
-        live = set()
-        for block in pending:
+        for block in flushed:
             block.squashed = True
-            live.add(block.block_id)
         pending.clear()
-        if live:
-            self.ftq = [b for b in self.ftq if b.block_id not in live]
+        # Pending blocks are the youngest FTQ suffix.
+        del self.ftq[self._suffix_start(oldest.block_id):]
         return flushed
 
     # ------------------------------------------------------------------

@@ -44,6 +44,7 @@ class MSSRController(ReuseScheme):
 
     name = "mssr"
     needs_rgids = True
+    on_cycle_overflow_only = True
 
     def __init__(self, config):
         super().__init__()
@@ -133,9 +134,10 @@ class MSSRController(ReuseScheme):
     # Fetch-side reconvergence detection and lockstep monitoring
     # ------------------------------------------------------------------
     def on_fetch_block(self, block):
-        if not block.num_insts:
+        num_insts = len(block.insts)
+        if not num_insts:
             return
-        self._age_streams(block.num_insts)
+        self._age_streams(num_insts)
 
         start = 0
         if self._lockstep is not None:
@@ -338,6 +340,8 @@ class MSSRController(ReuseScheme):
         return False
 
     def on_cycle(self, cycle):
+        # A no-op while the RAT holds no overflow events, so the core
+        # skips it then (``on_cycle_overflow_only``).
         rat = self.core.rat
         if rat.overflow_events >= self.config.rgid_overflow_limit:
             self._global_reset(suspend=True)

@@ -151,7 +151,7 @@ class Observability:
                                             block.num_insts, pending))
 
     def fetch_block(self, block):
-        self.stats.fetched_insts += block.num_insts
+        self.stats.fetched_insts += len(block.insts)
         if self.enabled:
             self.emit(FetchEvent(self.cycle, block.block_id,
                                  block.start_pc, block.end_pc,

@@ -19,7 +19,7 @@ back-to-back, then drains the squash arbiter at cycle end.
 
 import collections
 
-from repro.baselines.base import NullScheme
+from repro.baselines.base import RESOLVED_HOOKS, NullScheme, resolve_hook
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FetchUnit
 from repro.frontend.icache import InstructionCache
@@ -193,6 +193,9 @@ class O3Core:
             self._inject_state(init_state)
 
         scheme.attach(self)
+        for hook in RESOLVED_HOOKS:
+            setattr(state, hook, resolve_hook(scheme, hook))
+        self._cycle_needs_overflow = scheme.on_cycle_overflow_only
 
         # FTQ-sourced wrong-path capture: once the scheme is attached,
         # point the fetch unit's capture sink at its hook. Decode-time
@@ -317,14 +320,16 @@ class O3Core:
         cycle = state.cycle
         state.stats.cycles = cycle
         state.obs.cycle = cycle
-        state.fus.new_cycle(cycle)
         for stage in self._stages:
             stage.tick()
             if state.halted:
                 return
-        request = state.squash_arbiter.take()
-        if request is not None:
-            self._squash_unit.apply(request)
-        self.scheme.on_cycle(cycle)
+        arbiter = state.squash_arbiter
+        if arbiter.pending is not None:
+            self._squash_unit.apply(arbiter.take())
+        on_cycle = state.on_cycle
+        if on_cycle is not None and (state.rat.overflow_events
+                                     or not self._cycle_needs_overflow):
+            on_cycle(cycle)
         if state.budget_stop:
             state.halted = True

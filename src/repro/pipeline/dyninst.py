@@ -21,9 +21,9 @@ class DynInst:
         "src_rgids", "dest_rgid", "old_rgid", "renamed",
         # execution state
         "issued", "issue_cycle", "executed", "completed", "committed",
-        "squashed", "result", "done_cycle", "wait_count",
+        "squashed", "result", "wait_count",
         # memory state
-        "mem_addr", "mem_size", "store_data", "lsq_index", "replayed",
+        "mem_addr", "mem_size", "store_data",
         # squash-reuse state
         "reuse_candidate", "reused", "verify_load", "reuse_scheme_tag",
         # cached classification (hot paths)
@@ -62,14 +62,11 @@ class DynInst:
         self.committed = False
         self.squashed = False
         self.result = None
-        self.done_cycle = -1
         self.wait_count = 0
 
         self.mem_addr = None
         self.mem_size = 0
         self.store_data = None
-        self.lsq_index = -1
-        self.replayed = False
 
         self.reuse_candidate = None
         self.reused = False

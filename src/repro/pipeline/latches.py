@@ -88,10 +88,11 @@ class SquashArbiter:
 class DecodeQueue:
     """Fetch → rename/dispatch latch: fetched, not-yet-renamed insts.
 
-    ``entries`` is the backing deque; the rename stage drains from the
-    left, squashes pop from the right (youngest first). ``capacity`` is
-    the configured decode-queue size — the fetch stage checks
-    :meth:`has_room` before delivering another block.
+    ``entries`` is the backing deque; the fetch stage appends whole
+    blocks, the rename stage drains from the left, squashes pop from the
+    right (youngest first). ``capacity`` is the configured decode-queue
+    size — the fetch stage delivers another block only while a whole
+    block still fits.
     """
 
     __slots__ = ("entries", "capacity")
@@ -108,14 +109,6 @@ class DecodeQueue:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def has_room(self, count):
-        """Can ``count`` more instructions be accepted?"""
-        return len(self.entries) + count <= self.capacity
-
-    def push_block(self, insts):
-        """Append one fetched block's instructions (program order)."""
-        self.entries.extend(insts)
 
     def drop_younger_than(self, boundary_seq):
         """Squash: pop instructions with ``seq > boundary_seq`` from the
@@ -175,8 +168,10 @@ class CoreState:
         "int_iq", "mem_iq", "iqs", "fus",
         # latches
         "decode_queue", "completions", "squash_arbiter",
-        # reuse scheme
-        "scheme",
+        # reuse scheme and its resolved optional hooks (None when the
+        # scheme does not override them; see baselines.base.resolve_hook)
+        "scheme", "on_fetch_block", "try_reuse", "wants_preg",
+        "on_preg_freed", "on_store_executed", "on_cycle",
         # per-cycle control scalars
         "cycle", "halted", "last_commit_cycle", "last_retired_block",
         "commit_limit", "budget_stop",
@@ -198,7 +193,8 @@ class CoreState:
     def free_preg(self, preg):
         """Release a physical register and notify the reuse scheme."""
         self.regfile.free(preg)
-        self.scheme.on_preg_freed(preg)
+        if self.on_preg_freed is not None:
+            self.on_preg_freed(preg)
 
     def free_reserved_preg(self, preg):
         """Release a register previously reserved for a reuse scheme."""

@@ -24,23 +24,14 @@ class LoadStoreQueue:
         self.stores = {}               # seq -> DynInst
 
     # ------------------------------------------------------------------
-    @property
-    def lq_free(self):
-        return self.lq_entries - len(self.loads)
-
-    @property
-    def sq_free(self):
-        return self.sq_entries - len(self.stores)
-
     def allocate(self, dyn):
+        """Enter a load or store (the rename stage does this inline;
+        commit and squash remove entries from ``loads``/``stores``
+        directly)."""
         if dyn.is_load:
             self.loads[dyn.seq] = dyn
         elif dyn.is_store:
             self.stores[dyn.seq] = dyn
-
-    def remove(self, dyn):
-        self.loads.pop(dyn.seq, None)
-        self.stores.pop(dyn.seq, None)
 
     # ------------------------------------------------------------------
     def speculative_read(self, addr, size, seq):
@@ -105,6 +96,3 @@ class LoadStoreQueue:
         """Retire a store: write architectural memory."""
         self.memory.write(dyn.mem_addr, dyn.store_data, dyn.mem_size)
         self.stores.pop(dyn.seq, None)
-
-    def commit_load(self, dyn):
-        self.loads.pop(dyn.seq, None)

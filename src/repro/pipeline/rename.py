@@ -37,7 +37,7 @@ class RenameTable:
         # the epoch encodes the paper's post-reset suspension guarantee
         # (no stale pre-reset RGID can ever compare equal to a post-reset
         # one), making the mechanism exactly sound in simulation.
-        self._epoch_base = 0
+        self.epoch_base = 0
 
     # ------------------------------------------------------------------
     def lookup(self, areg):
@@ -55,7 +55,7 @@ class RenameTable:
     def next_rgid(self, areg):
         """Draw a fresh RGID from the global counter (may return NULL)."""
         value = self.global_rgid[areg] + 1
-        if value - self._epoch_base >= self.rgid_limit:
+        if value - self.epoch_base >= self.rgid_limit:
             self.overflow_events += 1
             return NULL_RGID
         self.global_rgid[areg] = value
@@ -65,7 +65,9 @@ class RenameTable:
         """Allocate a new physical register + RGID for ``dyn``'s dest.
 
         Returns False when no physical register is available (stall).
-        The DynInst records the old mapping for rollback.
+        The DynInst records the old mapping for rollback. The rename
+        stage does this (and :meth:`next_rgid`) inline; keep them in
+        step.
         """
         preg = self.regfile.allocate()
         if preg is None:
@@ -97,7 +99,8 @@ class RenameTable:
         self.rgid[areg] = reuse_rgid
 
     def rollback(self, dyn):
-        """Undo one instruction's mapping (called youngest-first)."""
+        """Undo one instruction's mapping (called youngest-first; the
+        squash unit does this inline for its whole squashed suffix)."""
         if dyn.dest_areg is None:
             return
         self.map[dyn.dest_areg] = dyn.old_preg
@@ -114,8 +117,8 @@ class RenameTable:
         models the performance side: new squashed streams are refused
         until a ROB's worth of instructions has committed.
         """
-        self._epoch_base += self.rgid_limit
-        self.global_rgid = [self._epoch_base] * NUM_ARCH_REGS
+        self.epoch_base += self.rgid_limit
+        self.global_rgid = [self.epoch_base] * NUM_ARCH_REGS
         self.overflow_events = 0
 
     def snapshot(self):

@@ -25,6 +25,11 @@ class IssueQueue:
     the squashed, never-issued entries it pops from the ROB). Squashed
     entries themselves stay in ``_ready``/``_waiting`` until their next
     touch: :meth:`take_ready` and :meth:`wakeup` skip them.
+
+    The rename, writeback and execute stages do :meth:`insert`,
+    :meth:`wakeup` and :meth:`take_ready` inline on their
+    per-instruction paths (same checks, same list order); a change here
+    must be made there too.
     """
 
     def __init__(self, name, capacity):
@@ -94,7 +99,12 @@ class IssueQueue:
 
 class FunctionUnits:
     """Per-cycle port accounting for ALU / BRU / LSU plus the unpipelined
-    divider."""
+    divider.
+
+    The core's execute stage does :meth:`IssueQueue.take_ready` and
+    :meth:`try_take` inline, counting one cycle's port use in locals;
+    it keeps only the divider's busy horizon (``div_busy_until``) here.
+    """
 
     def __init__(self, config):
         self.config = config

@@ -1,5 +1,7 @@
 """Commit stage: in-order retirement from the ROB head."""
 
+from repro.pipeline.regfile import ARCH, FREE
+
 
 class CommitStage:
     """Retire up to ``width`` completed instructions per cycle.
@@ -10,10 +12,15 @@ class CommitStage:
     instruction of a block has retired. Reuse-verification loads block
     retirement until their re-execution has actually run
     (``verify_load and not executed``).
+
+    An instruction retires in one frame: the register promotion and
+    :meth:`PhysRegFile.free <repro.pipeline.regfile.PhysRegFile.free>`
+    (with its double-free check) are inline, and only loads and stores
+    touch the LSQ.
     """
 
-    __slots__ = ("state", "width", "rob", "lsq", "obs", "scheme",
-                 "regfile", "predictor", "btb", "fetch")
+    __slots__ = ("state", "width", "rob", "lsq", "obs", "regfile",
+                 "on_preg_freed", "predictor", "btb", "fetch")
 
     def __init__(self, state):
         self.state = state
@@ -21,16 +28,24 @@ class CommitStage:
         self.rob = state.rob
         self.lsq = state.lsq
         self.obs = state.obs
-        self.scheme = state.scheme
         self.regfile = state.regfile
+        self.on_preg_freed = state.on_preg_freed
         self.predictor = state.predictor
         self.btb = state.btb
         self.fetch = state.fetch
 
     def tick(self):
-        state = self.state
         rob = self.rob
+        if not rob:
+            return
+        state = self.state
         obs = self.obs
+        lsq = self.lsq
+        regfile = self.regfile
+        reg_states = regfile.states
+        ready = regfile.ready
+        free = regfile.free_list
+        on_preg_freed = self.on_preg_freed
         for _ in range(self.width):
             if not rob:
                 return
@@ -39,7 +54,39 @@ class CommitStage:
                 return
             rob.popleft()
             head.committed = True
-            self._commit_inst(head)
+
+            if head.is_store:
+                lsq.commit_store(head)
+            elif head.is_load:
+                lsq.loads.pop(head.seq, None)
+            dest = head.dest_preg
+            if dest is not None:
+                reg_states[dest] = ARCH
+                old = head.old_preg
+                if old is not None:
+                    if reg_states[old] == FREE:
+                        raise AssertionError("double free of p%d" % old)
+                    reg_states[old] = FREE
+                    ready[old] = False
+                    free.append(old)
+                    if on_preg_freed is not None:
+                        on_preg_freed(old)
+            if head.is_branch:
+                pd = head.pd
+                if pd.is_cond_branch:
+                    obs.cond_branch(head.mispredicted)
+                    if head.bp_meta is not None:
+                        self.predictor.update(
+                            pd.pc, head.actual_npc != pd.next_pc,
+                            head.bp_meta)
+                elif pd.is_indirect:
+                    obs.indirect_branch(head.mispredicted)
+                    self.btb.install(pd.pc, head.actual_npc)
+            retired = head.block_id - 1
+            if retired > state.last_retired_block:
+                self.fetch.retire_block(retired)
+                state.last_retired_block = retired
+
             obs.commit(head)
             state.last_commit_cycle = state.cycle
             if head.pd.is_halt:
@@ -53,35 +100,3 @@ class CommitStage:
                 # must drain, or a resumed run would deadlock on them.
                 state.budget_stop = True
                 return
-
-    def _commit_inst(self, head):
-        state = self.state
-        if head.is_store:
-            self.lsq.commit_store(head)
-        elif head.is_load:
-            self.lsq.commit_load(head)
-
-        if head.dest_preg is not None:
-            self.regfile.mark_arch(head.dest_preg)
-            if head.old_preg is not None:
-                state.free_preg(head.old_preg)
-
-        if head.is_branch:
-            self._train_branch(head)
-
-        if head.block_id - 1 > state.last_retired_block:
-            self.fetch.retire_block(head.block_id - 1)
-            state.last_retired_block = head.block_id - 1
-
-        self.scheme.on_commit(head)
-
-    def _train_branch(self, head):
-        pd = head.pd
-        taken = head.actual_npc != pd.next_pc
-        if pd.is_cond_branch:
-            self.obs.cond_branch(head.mispredicted)
-            if head.bp_meta is not None:
-                self.predictor.update(pd.pc, taken, head.bp_meta)
-        elif pd.is_indirect:
-            self.obs.indirect_branch(head.mispredicted)
-            self.btb.install(pd.pc, head.actual_npc)

@@ -10,11 +10,16 @@ kept verbatim as the differential-testing reference for the predecoded
 fast path.
 """
 
+from operator import attrgetter
+
 from repro.isa.instruction import INST_BYTES
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.predecode import (KIND_BRANCH, KIND_DIV, KIND_LOAD,
-                                 KIND_STORE, slowpath_enabled)
+from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
+                                 KIND_LOAD, KIND_MUL, KIND_NOP, KIND_STORE,
+                                 slowpath_enabled)
 from repro.utils.bits import MASK64, sext32, to_unsigned, wrap64
+
+_SEQ_KEY = attrgetter("seq")
 
 
 def _sext32(value):
@@ -27,9 +32,10 @@ def _sext32(value):
 class ExecuteStage:
     """Select ready instructions from the issue queues and execute them."""
 
-    __slots__ = ("state", "width", "iqs", "fus", "regfile", "lsq",
-                 "hierarchy", "dport", "fwd_latency", "completions",
-                 "obs", "config", "kind_latency", "execute_inst")
+    __slots__ = ("state", "width", "iqs", "fus", "num_alu", "num_bru",
+                 "num_lsu", "div_latency", "regfile", "lsq", "hierarchy",
+                 "dport", "fwd_latency", "completions", "obs", "config",
+                 "kind_latency", "execute_inst")
 
     def __init__(self, state):
         cfg = state.config
@@ -37,6 +43,10 @@ class ExecuteStage:
         self.width = cfg.width
         self.iqs = state.iqs
         self.fus = state.fus
+        self.num_alu = cfg.num_alu
+        self.num_bru = cfg.num_bru
+        self.num_lsu = cfg.num_lsu
+        self.div_latency = cfg.div_latency
         self.regfile = state.regfile
         self.lsq = state.lsq
         self.hierarchy = state.hierarchy
@@ -62,12 +72,65 @@ class ExecuteStage:
             else self._execute_inst
 
     def tick(self):
-        width = self.width
-        try_take = self.fus.try_take
+        """Issue, oldest first per IQ, what this cycle's ports allow.
+
+        :meth:`IssueQueue.take_ready
+        <repro.pipeline.scheduler.IssueQueue.take_ready>` and
+        :meth:`FunctionUnits.try_take
+        <repro.pipeline.scheduler.FunctionUnits.try_take>` run inline,
+        the port use counted in locals; the unpipelined divider's busy
+        horizon lives on ``fus``. Each issued instruction then executes
+        in one call.
+        """
+        cycle = self.state.cycle
         execute = self.execute_inst
+        fus = self.fus
+        alu_used = bru_used = lsu_used = 0
+        num_alu = self.num_alu
         for iq in self.iqs:
-            for dyn in iq.take_ready(width, try_take):
-                execute(dyn)
+            ready = iq._ready
+            if not ready:
+                continue
+            # Squashed entries only exist in the cycles right after a
+            # squash; scan before paying for the filtering list.
+            for dyn in ready:
+                if dyn.squashed:
+                    ready = [d for d in ready if not d.squashed]
+                    break
+            ready.sort(key=_SEQ_KEY)
+            remaining = []
+            take = self.width
+            for dyn in ready:
+                if not take:
+                    remaining.append(dyn)
+                    continue
+                kind = dyn.pd.kind
+                if kind == KIND_ALU or kind == KIND_MUL or kind >= KIND_NOP:
+                    granted = alu_used < num_alu
+                    if granted:
+                        alu_used += 1
+                elif kind == KIND_LOAD or kind == KIND_STORE:
+                    granted = lsu_used < self.num_lsu
+                    if granted:
+                        lsu_used += 1
+                elif kind == KIND_BRANCH:
+                    granted = bru_used < self.num_bru
+                    if granted:
+                        bru_used += 1
+                else:
+                    # KIND_DIV: unpipelined divider sharing the ALU ports.
+                    granted = alu_used < num_alu \
+                        and fus.div_busy_until <= cycle
+                    if granted:
+                        alu_used += 1
+                        fus.div_busy_until = cycle + self.div_latency
+                if granted:
+                    take -= 1
+                    iq.size -= 1
+                    execute(dyn)
+                else:
+                    remaining.append(dyn)
+            iq._ready = remaining
 
     def _execute_inst(self, dyn):
         pd = dyn.pd
@@ -93,7 +156,7 @@ class ExecuteStage:
         elif kind == KIND_LOAD:
             latency = self._execute_load(dyn, values, sp)
         elif kind == KIND_STORE:
-            addr = wrap64(values[sp[1]] + pd.imm)
+            addr = (values[sp[1]] + pd.imm) & MASK64
             dyn.mem_addr = addr
             dyn.mem_size = pd.mem_size
             dyn.store_data = values[sp[0]] & pd.store_mask
@@ -122,7 +185,7 @@ class ExecuteStage:
             dyn.actual_npc = pd.target
             dyn.result = fallthrough
         elif op is Op.JALR:
-            dyn.actual_npc = wrap64(values[sp[0]] + pd.imm) & ~1
+            dyn.actual_npc = (values[sp[0]] + pd.imm) & MASK64 & ~1
             dyn.result = fallthrough
         else:
             taken = pd.branch_fn(values[sp[0]], values[sp[1]])
@@ -134,7 +197,7 @@ class ExecuteStage:
         if dyn.verify_load:
             addr = dyn.mem_addr  # logged by the reuse scheme
         else:
-            addr = wrap64(values[sp[0]] + pd.imm)
+            addr = (values[sp[0]] + pd.imm) & MASK64
             dyn.mem_addr = addr
             dyn.mem_size = pd.mem_size
         value, forwarded = self.lsq.speculative_read(addr, pd.mem_size,

@@ -11,7 +11,7 @@ the icache live in the frontend (:mod:`repro.frontend.fetch`,
 class FetchStage:
     """Deliver predicted blocks from the frontend into the decode queue."""
 
-    __slots__ = ("state", "fetch", "decode_queue", "obs", "scheme",
+    __slots__ = ("state", "fetch", "decode_queue", "obs", "on_fetch_block",
                  "blocks_per_cycle", "block_insts")
 
     def __init__(self, state):
@@ -20,7 +20,7 @@ class FetchStage:
         self.fetch = state.fetch
         self.decode_queue = state.decode_queue
         self.obs = state.obs
-        self.scheme = state.scheme
+        self.on_fetch_block = state.on_fetch_block
         self.blocks_per_cycle = cfg.fetch_blocks_per_cycle
         self.block_insts = cfg.fetch_block_insts
 
@@ -30,13 +30,17 @@ class FetchStage:
         # Decoupled mode: the BPU runs ahead into the FTQ regardless of
         # decode backpressure (no-op when fused).
         fetch.tick(cycle)
-        dq = self.decode_queue
+        entries = self.decode_queue.entries
+        # Deliver only while a whole block still fits.
+        limit = self.decode_queue.capacity - self.block_insts
+        on_fetch_block = self.on_fetch_block
         for _ in range(self.blocks_per_cycle):
-            if not dq.has_room(self.block_insts):
+            if len(entries) > limit:
                 return
             block = fetch.fetch_block(cycle)
             if block is None:
                 return
             self.obs.fetch_block(block)
-            self.scheme.on_fetch_block(block)
-            dq.push_block(block.insts)
+            if on_fetch_block is not None:
+                on_fetch_block(block)
+            entries.extend(block.insts)

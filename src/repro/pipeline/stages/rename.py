@@ -4,9 +4,20 @@ Drains the :class:`~repro.pipeline.latches.DecodeQueue` latch in program
 order, offering every register-writing instruction to the reuse scheme
 before allocating a fresh destination, then inserts it into the ROB and
 the appropriate issue queue (or the LSQ for memory operations).
+
+The common path handles an instruction in one frame: the resource
+check, :meth:`RenameTable.rename_dest
+<repro.pipeline.rename.RenameTable.rename_dest>` with
+:meth:`PhysRegFile.allocate
+<repro.pipeline.regfile.PhysRegFile.allocate>`, the LSQ allocation and
+:meth:`IssueQueue.insert <repro.pipeline.scheduler.IssueQueue.insert>`
+are done inline, with the same safety checks. Only a successful reuse
+leaves the loop (:meth:`RenameDispatchStage._apply_reuse`).
 """
 
 from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
+from repro.pipeline.regfile import IN_FLIGHT
+from repro.pipeline.rename import NULL_RGID
 
 
 class RenameDispatchStage:
@@ -14,7 +25,7 @@ class RenameDispatchStage:
 
     __slots__ = ("state", "width", "frontend_stages", "rob_entries",
                  "decode_queue", "rob", "rat", "regfile", "lsq",
-                 "int_iq", "mem_iq", "scheme", "obs")
+                 "int_iq", "mem_iq", "scheme", "try_reuse", "obs")
 
     def __init__(self, state):
         cfg = state.config
@@ -30,97 +41,169 @@ class RenameDispatchStage:
         self.int_iq = state.int_iq
         self.mem_iq = state.mem_iq
         self.scheme = state.scheme
+        self.try_reuse = state.try_reuse
         self.obs = state.obs
 
     def tick(self):
         dq = self.decode_queue.entries
         if not dq:
             return
-        width = self.width
         frontier = self.state.cycle - self.frontend_stages
-        renamed = 0
-        while renamed < width and dq:
+        rob = self.rob
+        rob_entries = self.rob_entries
+        rat = self.rat
+        rmap = rat.map
+        rgids = rat.rgid
+        track_rgids = rat.track_rgids
+        regfile = self.regfile
+        # The free list is re-read through this reference after
+        # try_reuse or emergency_release, both of which can free.
+        free = regfile.free_list
+        reg_states = regfile.states
+        ready = regfile.ready
+        lsq = self.lsq
+        loads = lsq.loads
+        stores = lsq.stores
+        int_iq = self.int_iq
+        mem_iq = self.mem_iq
+        try_reuse = self.try_reuse
+        obs = self.obs
+        for _ in range(self.width):
+            if not dq:
+                return
             dyn = dq[0]
             if dyn.fetch_cycle > frontier:
-                break
-            if not self._has_dispatch_resources(dyn):
-                break
-            dq.popleft()
-            self._rename_inst(dyn)
-            self._dispatch_inst(dyn)
-            renamed += 1
-
-    def _has_dispatch_resources(self, dyn):
-        if len(self.rob) >= self.rob_entries:
-            return False
-        pd = dyn.pd
-        kind = pd.kind
-        if kind == KIND_LOAD:
-            iq = self.mem_iq
-            if iq.size >= iq.capacity or self.lsq.lq_free == 0:
-                return False
-        elif kind == KIND_STORE:
-            iq = self.mem_iq
-            if iq.size >= iq.capacity or self.lsq.sq_free == 0:
-                return False
-        elif kind < KIND_NOP:
-            iq = self.int_iq
-            if iq.size >= iq.capacity:
-                return False
-        if pd.writes_reg and self.regfile.num_free == 0:
-            # Condition (5): reclaim squash-log registers under pressure.
-            if not self.scheme.emergency_release():
-                return False
-            if self.regfile.num_free == 0:
-                return False
-        return True
-
-    def _rename_inst(self, dyn):
-        pd = dyn.pd
-        rat = self.rat
-        num_srcs = pd.num_srcs
-        rmap = rat.map
-        if num_srcs == 0:
-            dyn.srcs_preg = ()
-        elif num_srcs == 1:
-            dyn.srcs_preg = (rmap[pd.src0],)
-        else:
-            dyn.srcs_preg = (rmap[pd.src0], rmap[pd.src1])
-        if rat.track_rgids:
-            rgid = rat.rgid
-            if num_srcs == 0:
-                dyn.src_rgids = ()
-            elif num_srcs == 1:
-                dyn.src_rgids = (rgid[pd.src0],)
+                return
+            # -- dispatch resources ------------------------------------
+            if len(rob) >= rob_entries:
+                return
+            pd = dyn.pd
+            kind = pd.kind
+            if kind == KIND_LOAD:
+                iq = mem_iq
+                if iq.size >= iq.capacity or len(loads) >= lsq.lq_entries:
+                    return
+            elif kind == KIND_STORE:
+                iq = mem_iq
+                if iq.size >= iq.capacity or len(stores) >= lsq.sq_entries:
+                    return
+            elif kind < KIND_NOP:
+                iq = int_iq
+                if iq.size >= iq.capacity:
+                    return
             else:
-                dyn.src_rgids = (rgid[pd.src0], rgid[pd.src1])
+                iq = None                  # nop / halt
+            writes_reg = pd.writes_reg
+            if writes_reg and not free:
+                # Condition (5): reclaim squash-log registers under
+                # pressure.
+                if not self.scheme.emergency_release() or not free:
+                    return
+            dq.popleft()
 
-        writes_reg = pd.writes_reg
-        reused = False
-        if writes_reg and not pd.is_branch and not pd.is_store:
-            result = self.scheme.try_reuse(dyn)
-            if result is not None:
-                self._apply_reuse(dyn, result)
-                reused = True
-        if not reused and writes_reg:
-            if not rat.rename_dest(dyn):
-                raise AssertionError("rename without a free preg")
-        dyn.renamed = True
-        if self.obs.enabled:
-            self.obs.emit_rename(dyn, reused)
-        self.scheme.on_rename(dyn, reused)
+            # -- rename ------------------------------------------------
+            num_srcs = pd.num_srcs
+            if num_srcs == 0:
+                sp = ()
+            elif num_srcs == 1:
+                sp = (rmap[pd.src0],)
+            else:
+                sp = (rmap[pd.src0], rmap[pd.src1])
+            dyn.srcs_preg = sp
+            if track_rgids:
+                if num_srcs == 0:
+                    dyn.src_rgids = ()
+                elif num_srcs == 1:
+                    dyn.src_rgids = (rgids[pd.src0],)
+                else:
+                    dyn.src_rgids = (rgids[pd.src0], rgids[pd.src1])
+            reused = False
+            if writes_reg:
+                result = None
+                if try_reuse is not None and not pd.is_branch \
+                        and not pd.is_store:
+                    result = try_reuse(dyn)
+                if result is not None and result.preg is not None:
+                    # Integration-style: adopt the squashed destination.
+                    self._apply_reuse(dyn, result)
+                    reused = True
+                else:
+                    if not free:
+                        raise AssertionError("rename without a free preg")
+                    preg = free.pop()
+                    reg_states[preg] = IN_FLIGHT
+                    ready[preg] = False
+                    areg = pd.dest
+                    dyn.dest_areg = areg
+                    dyn.old_preg = rmap[areg]
+                    dyn.old_rgid = rgids[areg]
+                    dyn.dest_preg = preg
+                    rmap[areg] = preg
+                    if track_rgids:
+                        # RenameTable.next_rgid, inline.
+                        rgid = rat.global_rgid[areg] + 1
+                        if rgid - rat.epoch_base >= rat.rgid_limit:
+                            rat.overflow_events += 1
+                            rgid = NULL_RGID
+                        else:
+                            rat.global_rgid[areg] = rgid
+                        dyn.dest_rgid = rgid
+                        rgids[areg] = rgid
+                    if result is not None:
+                        # Value-style (DIR): the fresh register gets the
+                        # stored value.
+                        self._apply_reuse(dyn, result)
+                        reused = True
+            dyn.renamed = True
+            if obs.enabled:
+                obs.emit_rename(dyn, reused)
+
+            # -- dispatch ----------------------------------------------
+            rob.append(dyn)
+            if iq is None:
+                dyn.completed = True
+                dyn.executed = True
+                continue
+            if reused and not dyn.verify_load:
+                dyn.executed = True
+                continue
+            if kind == KIND_LOAD:
+                loads[dyn.seq] = dyn
+            elif kind == KIND_STORE:
+                stores[dyn.seq] = dyn
+            # Unready sources, deduplicated (at most two).
+            if not sp:
+                not_ready = ()
+            elif num_srcs == 1 or sp[0] == sp[1]:
+                p0 = sp[0]
+                not_ready = () if ready[p0] else (p0,)
+            else:
+                p0, p1 = sp
+                if ready[p0]:
+                    not_ready = () if ready[p1] else (p1,)
+                else:
+                    not_ready = (p0,) if ready[p1] else (p0, p1)
+            if iq.size >= iq.capacity:
+                raise AssertionError("%s IQ overflow" % iq.name)
+            iq.size += 1
+            if not_ready:
+                dyn.wait_count = len(not_ready)
+                waiting = iq._waiting
+                for preg in not_ready:
+                    waiting.setdefault(preg, []).append(dyn)
+            else:
+                iq._ready.append(dyn)
 
     def _apply_reuse(self, dyn, result):
+        """Adopt a reuse decision. A value-style result arrives with the
+        destination already renamed to a fresh register."""
+        regfile = self.regfile
         if result.preg is not None:
-            # Integration-style: adopt the squashed destination register.
             self.rat.apply_reuse(dyn, result.preg, result.rgid)
-            self.regfile.mark_in_flight(result.preg)
-            dyn.result = self.regfile.values[result.preg]
+            regfile.mark_in_flight(result.preg)
+            dyn.result = regfile.values[result.preg]
         else:
-            # Value-style (DIR): fresh register, stored value.
-            if not self.rat.rename_dest(dyn):
-                raise AssertionError("reuse without a free preg")
-            self.regfile.set_value(dyn.dest_preg, result.value)
+            regfile.set_value(dyn.dest_preg, result.value)
             dyn.result = result.value
         dyn.reused = True
         dyn.completed = True
@@ -130,35 +213,3 @@ class RenameDispatchStage:
             dyn.verify_load = True
             dyn.mem_addr = result.verify_addr
             dyn.mem_size = dyn.pd.mem_size
-
-    def _dispatch_inst(self, dyn):
-        self.rob.append(dyn)
-        kind = dyn.pd.kind
-        if kind >= KIND_NOP:           # nop / halt
-            dyn.completed = True
-            dyn.executed = True
-            return
-        if dyn.reused and not dyn.verify_load:
-            dyn.executed = True
-            return
-        if kind == KIND_LOAD or kind == KIND_STORE:
-            self.lsq.allocate(dyn)
-            iq = self.mem_iq
-        else:
-            iq = self.int_iq
-        # Unrolled "unready deduped sources" (the set()+listcomp here was
-        # a top allocation site; instructions have at most two sources).
-        sp = dyn.srcs_preg
-        ready = self.regfile.ready
-        if not sp:
-            not_ready = ()
-        elif len(sp) == 1 or sp[0] == sp[1]:
-            p0 = sp[0]
-            not_ready = () if ready[p0] else (p0,)
-        else:
-            p0, p1 = sp
-            if ready[p0]:
-                not_ready = () if ready[p1] else (p1,)
-            else:
-                not_ready = (p0,) if ready[p1] else (p0, p1)
-        iq.insert(dyn, not_ready)

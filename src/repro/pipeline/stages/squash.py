@@ -6,19 +6,27 @@ winning one — rolling the ROB, decode queue and RAT back, carving the
 squashed FTQ suffix out for the reuse scheme, releasing or reserving
 physical registers, repairing speculative predictor/RAS state and
 redirecting fetch.
+
+The per-instruction work of a squash runs in two passes over the
+squashed ROB suffix, each in this frame: the ROB pop with the RAT
+rollback, and the register release (:meth:`PhysRegFile.free
+<repro.pipeline.regfile.PhysRegFile.free>` inline, with its double-free
+check) together with the LSQ removal of loads and stores and the IQ
+slot count.
 """
 
 from repro.frontend.tage_scl import TageSCL
 from repro.isa.instruction import INST_BYTES
 from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
+from repro.pipeline.regfile import FREE, RESERVED
 
 
 class SquashUnit:
     """Apply one arbitrated squash request across the whole machine."""
 
     __slots__ = ("state", "rob", "decode_queue", "rat", "obs", "fetch",
-                 "scheme", "lsq", "int_iq", "mem_iq", "regfile",
-                 "predictor", "ras")
+                 "scheme", "wants_preg", "on_preg_freed", "lsq", "int_iq",
+                 "mem_iq", "regfile", "predictor", "ras")
 
     def __init__(self, state):
         self.state = state
@@ -28,6 +36,8 @@ class SquashUnit:
         self.obs = state.obs
         self.fetch = state.fetch
         self.scheme = state.scheme
+        self.wants_preg = state.wants_preg
+        self.on_preg_freed = state.on_preg_freed
         self.lsq = state.lsq
         self.int_iq = state.int_iq
         self.mem_iq = state.mem_iq
@@ -40,21 +50,26 @@ class SquashUnit:
         if request.trigger.squashed:
             return  # stale request (should not happen; safety)
 
-        # 1. Pop squashed instructions from the ROB (tail first).
+        # 1. Pop squashed instructions from the ROB (tail first) and
+        #    roll their RAT mappings back, youngest first.
         squashed = []
         rob = self.rob
+        rmap = self.rat.map
+        rgids = self.rat.rgid
         while rob and rob[-1].seq > boundary:
-            squashed.append(rob.pop())
+            dyn = rob.pop()
+            dyn.squashed = True
+            areg = dyn.dest_areg
+            if areg is not None:
+                rmap[areg] = dyn.old_preg
+                rgids[areg] = dyn.old_rgid
+            squashed.append(dyn)
         # 2. Drop not-yet-renamed instructions from the decode queue
         #    (kept for frontend repair: their speculative predictor
         #    advances still need unwinding).
         dropped_dyns = self.decode_queue.drop_younger_than(boundary)
         dropped_seqs = [dyn.seq for dyn in dropped_dyns] \
             if self.obs.enabled else []
-        # 3. Roll the RAT back, youngest first.
-        for dyn in squashed:
-            dyn.squashed = True
-            self.rat.rollback(dyn)
         self.obs.squash(request.kind, request.trigger, boundary,
                         request.redirect_pc, squashed, dropped_seqs)
         if self.state.memsys is not None:
@@ -65,7 +80,7 @@ class SquashUnit:
             if wrong_path_mem:
                 self.obs.mem_wrong_path(wrong_path_mem)
 
-        # 4. FTQ: carve out the squashed blocks (for the WPBs). The
+        # 3. FTQ: carve out the squashed blocks (for the WPBs). The
         #    boundary block is split so instructions at or before the
         #    boundary survive (for replay squashes the trigger itself is
         #    squashed and refetched). With FTQ-sourced capture enabled,
@@ -76,7 +91,7 @@ class SquashUnit:
             request.trigger.block_id, keep_partial_seq=boundary,
             capture=request.kind == "branch")
 
-        # 5. Reuse-scheme notification *before* registers are freed, so it
+        # 4. Reuse-scheme notification *before* registers are freed, so it
         #    can claim them.
         squashed_oldest_first = list(reversed(squashed))
         if request.kind == "branch":
@@ -86,22 +101,40 @@ class SquashUnit:
         else:
             self.scheme.on_replay_squash(request.trigger)
 
-        # 6. Free or reserve destination registers; drain LSQ entries
+        # 5. Free or reserve destination registers; drain LSQ entries
         #    and return the IQ slots of squashed instructions that were
-        #    dispatched into an IQ (rename's ``_dispatch_inst``) and
-        #    never issued. The IQs skip the squashed entries themselves
-        #    lazily.
+        #    dispatched into an IQ (at rename) and never issued. The
+        #    IQs skip the squashed entries themselves lazily. A scheme
+        #    may free registers from wants_preg (RI evicts an entry), so
+        #    each release happens in walk order, not batched.
         state = self.state
+        wants_preg = self.wants_preg if request.kind == "branch" else None
+        on_preg_freed = self.on_preg_freed
+        regfile = self.regfile
+        reg_states = regfile.states
+        ready = regfile.ready
+        free = regfile.free_list
+        loads = self.lsq.loads
+        stores = self.lsq.stores
         int_drained = mem_drained = 0
         for dyn in squashed:
-            self.lsq.remove(dyn)
-            if dyn.dest_preg is not None:
-                if (request.kind == "branch" and dyn.executed
-                        and not dyn.verify_load
-                        and self.scheme.wants_preg(dyn)):
-                    self.regfile.mark_reserved(dyn.dest_preg)
+            if dyn.is_load:
+                loads.pop(dyn.seq, None)
+            elif dyn.is_store:
+                stores.pop(dyn.seq, None)
+            preg = dyn.dest_preg
+            if preg is not None:
+                if (wants_preg is not None and dyn.executed
+                        and not dyn.verify_load and wants_preg(dyn)):
+                    reg_states[preg] = RESERVED
                 else:
-                    state.free_preg(dyn.dest_preg)
+                    if reg_states[preg] == FREE:
+                        raise AssertionError("double free of p%d" % preg)
+                    reg_states[preg] = FREE
+                    ready[preg] = False
+                    free.append(preg)
+                    if on_preg_freed is not None:
+                        on_preg_freed(preg)
             if not dyn.issued:
                 kind = dyn.pd.kind
                 if kind < KIND_NOP and (dyn.verify_load or not dyn.reused):
@@ -112,10 +145,10 @@ class SquashUnit:
         self.int_iq.size -= int_drained
         self.mem_iq.size -= mem_drained
 
-        # 7. Repair predictor history and RAS.
+        # 6. Repair predictor history and RAS.
         self._repair_frontend(request, squashed_oldest_first, dropped_dyns)
 
-        # 8. Redirect fetch.
+        # 7. Redirect fetch.
         self.fetch.redirect(request.redirect_pc, cycle=state.cycle)
 
     def _repair_frontend(self, request, squashed_oldest_first,

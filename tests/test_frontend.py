@@ -308,6 +308,27 @@ def test_decoupled_fetch_latency_gates_delivery():
     assert all(dyn.fetch_cycle == 3 for dyn in block.insts)
 
 
+def test_ftq_trims_in_place_in_block_order():
+    """Retirement trims the FTQ's oldest prefix, a redirect its pending
+    suffix and a squash its younger suffix, all on the same list."""
+    source = "\n".join(["addi t0, t0, 1"] * 80) + "\nhalt"
+    _prog, fetch = _decoupled_fetch_unit(source, ftq_depth=6,
+                                         fetch_latency=0,
+                                         bpu_blocks_per_cycle=6)
+    ftq = fetch.ftq
+    fetch.tick(cycle=1)
+    delivered = [fetch.fetch_block(cycle=1) for _ in range(4)]
+    ids = [b.block_id for b in ftq]
+    assert ids == sorted(ids) and len(ids) == 6
+    fetch.retire_block(delivered[0].block_id)
+    fetch.redirect(fetch.pc, cycle=2)          # flushes the 2 pending
+    assert fetch.ftq is ftq
+    assert ftq == delivered[1:]
+    squashed = fetch.squash_ftq_after(delivered[1].block_id)
+    assert squashed == delivered[2:]
+    assert fetch.ftq is ftq and ftq == [delivered[1]]
+
+
 def test_decoupled_squash_flushes_pending_and_rewinds():
     prog = assemble_text("""
     loop:

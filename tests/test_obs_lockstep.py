@@ -50,10 +50,14 @@ class _FaultyWriteback(WritebackStage):
 
     fault_pc = None
 
-    def _writeback_inst(self, dyn):
-        if dyn.pc == self.fault_pc and not dyn.verify_load:
-            dyn.result = wrap64(dyn.result + 1)
-        super()._writeback_inst(dyn)
+    def tick(self):
+        # Corrupt this cycle's completions at the fault PC just before
+        # the stage writes them back.
+        for dyn in self.completions.by_cycle.get(self.state.cycle, ()):
+            if dyn.pc == self.fault_pc and not dyn.verify_load \
+                    and not dyn.squashed:
+                dyn.result = wrap64(dyn.result + 1)
+        super().tick()
 
 
 class _FaultyCore(O3Core):

@@ -74,10 +74,7 @@ _PORTED_PINNED = json.loads(
      / "ported_parity_pinned.json").read_text())
 
 
-@pytest.mark.parametrize(
-    "entry", _PORTED_PINNED,
-    ids=["%s-%s" % (e["workload"], e["kind"]) for e in _PORTED_PINNED])
-def test_ported_memory_stats_byte_identical(entry):
+def _assert_full_stats_pinned(entry):
     from repro.harness.jobs import build_config, build_scheme
 
     _mod, prog = get_workload(entry["workload"]).build(
@@ -90,7 +87,135 @@ def test_ported_memory_stats_byte_identical(entry):
     got = json.loads(json.dumps(core.stats.as_dict()))
     assert json.dumps(got, sort_keys=True) == \
         json.dumps(entry["stats"], sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "entry", _PORTED_PINNED,
+    ids=["%s-%s" % (e["workload"], e["kind"]) for e in _PORTED_PINNED])
+def test_ported_memory_stats_byte_identical(entry):
+    _assert_full_stats_pinned(entry)
     assert entry["stats"]["mem_accesses"] > 0
+
+
+#: Full ``SimStats.as_dict()`` snapshots of the schemes and scheme paths
+#: ``_PINNED`` does not reach, captured before the stages were flattened:
+#: Register Integration (``wants_preg`` / ``on_preg_freed`` transitive
+#: invalidation), DIR (value-style ``try_reuse``), MSSR with the Bloom
+#: hazard scheme, and MSSR with FTQ-sourced capture on a decoupled
+#: frontend with a finite icache, each on nested-mispred and bfs at 0.1.
+_SCHEME_PINNED = json.loads(
+    (pathlib.Path(__file__).parent / "data"
+     / "scheme_parity_pinned.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "entry", _SCHEME_PINNED,
+    ids=["%s-%s-%s" % (e["workload"], e["kind"],
+                       "-".join("%s=%s" % item
+                                for item in sorted(e["config"].items()))
+                       or "default")
+         for e in _SCHEME_PINNED])
+def test_scheme_stats_byte_identical(entry):
+    _assert_full_stats_pinned(entry)
+
+
+def test_scheme_pins_cover_their_paths():
+    # Guards against regenerating the pins from runs that never reach
+    # the paths they are meant to hold still.
+    by = {(e["workload"], e["kind"], tuple(sorted(e["config"]))): e["stats"]
+          for e in _SCHEME_PINNED}
+    assert by[("bfs", "ri", ())]["ri_invalidations"] > 0
+    assert by[("bfs", "dir", ())]["verify_flushes"] > 0
+    bloom = by[("bfs", "mssr", ("mssr.memory_hazard_scheme",))]
+    assert bloom["reused_loads"] > 0 and bloom["rgid_resets"] > 0
+    ftq = by[("bfs", "mssr", ("frontend.decoupled", "frontend.icache_lines",
+                              "mssr.ftq_capture"))]
+    assert ftq["wpb_captures_ftq"] > 0 and ftq["icache_misses"] > 0
+    assert ftq["verify_flushes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Optional reuse-scheme hooks
+# ---------------------------------------------------------------------------
+#: Per-hook call counts a scheme overriding every hook saw before the
+#: core resolved hooks per class (``_cycles`` is the run's length).
+_HOOK_COUNTS = {
+    ("nested-mispred", "fused"): {
+        "_cycles": 3484, "attach": 1, "emergency_release": 268,
+        "finalize": 1, "on_branch_squash": 50, "on_cycle": 3483,
+        "on_fetch_block": 1499, "on_preg_freed": 9874,
+        "on_replay_squash": 0, "on_store_executed": 46,
+        "on_verify_fail": 0, "on_wrong_path_block": 0, "try_reuse": 9873,
+        "wants_preg": 1693},
+    ("nested-mispred", "decoupled-ftq"): {
+        "_cycles": 3561, "attach": 1, "emergency_release": 255,
+        "finalize": 1, "on_branch_squash": 50, "on_cycle": 3560,
+        "on_fetch_block": 1487, "on_preg_freed": 9777,
+        "on_replay_squash": 0, "on_store_executed": 46,
+        "on_verify_fail": 0, "on_wrong_path_block": 1294,
+        "try_reuse": 9776, "wants_preg": 1659},
+    ("bfs", "fused"): {
+        "_cycles": 14728, "attach": 1, "emergency_release": 0,
+        "finalize": 1, "on_branch_squash": 200, "on_cycle": 14727,
+        "on_fetch_block": 12756, "on_preg_freed": 35304,
+        "on_replay_squash": 943, "on_store_executed": 1282,
+        "on_verify_fail": 0, "on_wrong_path_block": 0, "try_reuse": 35303,
+        "wants_preg": 1638},
+}
+
+
+def _scheme_hooks():
+    from repro.baselines.base import ReuseScheme
+    return sorted(name for name, value in vars(ReuseScheme).items()
+                  if callable(value) and not name.startswith("_"))
+
+
+def _recording_scheme():
+    """A scheme overriding every hook of ``ReuseScheme``: each override
+    counts its calls and answers like the base class."""
+    from repro.baselines.base import ReuseScheme
+
+    def recorder(name):
+        base = getattr(ReuseScheme, name)
+
+        def hook(self, *args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return base(self, *args)
+        hook.__name__ = name
+        return hook
+
+    namespace = {name: recorder(name) for name in _scheme_hooks()}
+    Recording = type("Recording", (ReuseScheme,), namespace)
+    scheme = Recording()
+    scheme.calls = {}
+    return scheme
+
+
+def test_hook_counts_cover_every_hook():
+    for counts in _HOOK_COUNTS.values():
+        assert sorted(k for k in counts if k != "_cycles") == \
+            _scheme_hooks()
+
+
+@pytest.mark.parametrize("workload,mode", sorted(_HOOK_COUNTS),
+                         ids=["-".join(key) for key in sorted(_HOOK_COUNTS)])
+def test_every_overridden_hook_is_called_as_before(workload, mode):
+    """A scheme that overrides a hook gets every call it got before the
+    core resolved hooks per class: a hook resolved away by mistake, or
+    a call dropped from a stage's fast path, changes a count."""
+    _mod, prog = get_workload(workload).build(scale=0.1)
+    scheme = _recording_scheme()
+    if mode == "decoupled-ftq":
+        scheme.ftq_capture = True
+        cfg = CoreConfig(frontend=FrontendConfig(decoupled=True))
+    else:
+        cfg = CoreConfig()
+    core = O3Core(prog, cfg, reuse_scheme=scheme)
+    core.run()
+    want = dict(_HOOK_COUNTS[workload, mode])
+    assert core.stats.cycles == want.pop("_cycles")
+    got = {name: scheme.calls.get(name, 0) for name in want}
+    assert got == want
 
 
 def test_new_counters_absent_from_pinned_snapshot():
