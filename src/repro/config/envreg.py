@@ -121,32 +121,7 @@ REGISTRY = _declare(
            "re-measuring.", key="perf.current"),
     EnvVar("REPRO_JOB_TIMEOUT", "float", 0.0,
            "Default per-job wall-clock timeout in seconds enforced by "
-           "the batch runner and the service broker (0 disables).",
-           key="harness.job_timeout"),
-    EnvVar("REPRO_SERVICE_DIR", "path", None,
-           "Simulation-service store directory (default "
-           "<cache>/service); holds the sqlite job store and the "
-           "shared result cache.", key="service.dir"),
-    EnvVar("REPRO_SERVICE_HOST", "str", "127.0.0.1",
-           "Bind host for the simulation-service HTTP API.",
-           key="service.host"),
-    EnvVar("REPRO_SERVICE_PORT", "int", 8642,
-           "Bind port for the simulation-service HTTP API (0 = pick an "
-           "ephemeral port).", key="service.port"),
-    EnvVar("REPRO_SERVICE_WORKERS", "int", 0,
-           "Simulation-service worker processes (0 = one per CPU).",
-           key="service.workers"),
-    EnvVar("REPRO_SERVICE_LEASE_TTL", "float", 15.0,
-           "Seconds without a heartbeat before a running service job "
-           "is considered lost and requeued.", key="service.lease_ttl"),
-    EnvVar("REPRO_SERVICE_RETRIES", "int", 2,
-           "Extra execution attempts the service grants a job after a "
-           "failure or lost worker before marking it failed/orphaned.",
-           key="service.retries"),
-    EnvVar("REPRO_SERVICE_NO_API", "bool", False,
-           "Run the service worker-only (broker + store, no HTTP "
-           "listener); endpoint.json is written api-less for pure "
-           "compute hosts.", key="service.no_api"),
+           "the batch runner (0 disables).", key="harness.job_timeout"),
 )
 
 

@@ -28,8 +28,7 @@ from repro.config import envreg
 #: harness cache fingerprint so results hashed under an older scheme are
 #: never misattributed to the new one. v4: runtime ``emu`` /
 #: ``harness.shared_images`` keys (superblock dispatch, shared-image
-#: batching). v5: ``mem.*`` section (port-based memory system) and the
-#: ``service.no_api`` runtime key.
+#: batching). v5: ``mem.*`` section (port-based memory system).
 CONFIG_SCHEMA_VERSION = 5
 
 #: Model sections, in canonical order.

@@ -10,9 +10,10 @@ batches at once through :func:`submit` / :func:`run_batch`:
 * results persist to a JSON on-disk cache keyed by job hash + code
   fingerprint (``REPRO_CACHE_DIR``), so repeat invocations of the
   benchmark suite re-simulate nothing;
-* cache-miss jobs fan out over a ``multiprocessing`` pool
-  (``REPRO_JOBS``), with per-job error capture and cycle/wall-clock
-  guards.
+* cache-miss jobs fan out over the supervised
+  :class:`~repro.harness.runner.ProcessPool` (``REPRO_JOBS``
+  workers), which captures per-job errors and the exit code of a
+  killed worker, and enforces cycle and wall-clock guards.
 """
 
 from repro.harness.cache import ResultCache, code_fingerprint, \

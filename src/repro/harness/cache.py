@@ -6,11 +6,8 @@ shard is the first two hex digits of the job hash. Sharding keeps
 directory listings bounded (256 buckets per fingerprint) so a store
 holding millions of cached points stays fast to look up and to walk —
 a flat directory with 10^6+ entries makes every ``os.listdir`` and
-every cold ``open`` crawl. Entries written by older versions in the
-flat ``<fingerprint>/<hash>.json`` layout are still *read* through
-transparently; ``python -m repro.harness cache migrate`` moves them
-into their shards in place. The fingerprint hashes every ``.py``
-source file in the ``repro`` package, so editing the simulator (or a
+every cold ``open`` crawl. The fingerprint hashes every ``.py`` source
+file in the ``repro`` package, so editing the simulator (or a
 workload) automatically invalidates all cached results without any
 manual versioning.
 
@@ -104,8 +101,10 @@ def _is_shard_dir(name):
 
 def iter_entries(sub):
     """Yield ``(name, path)`` for every JSON entry under one
-    fingerprint directory: sharded entries plus any legacy flat ones.
-    Unreadable paths are silently skipped, like every cache I/O."""
+    fingerprint directory: sharded entries plus flat ones (the
+    checkpoint store's layout, which stale result-cache fingerprints
+    may also hold). Unreadable paths are silently skipped, like every
+    cache I/O."""
     try:
         names = sorted(os.listdir(sub))
     except OSError:
@@ -128,7 +127,10 @@ def stale_fingerprints(directory, current):
     """Fingerprint subdirectories of ``directory`` other than
     ``current`` — entries under them were produced by older code or an
     older hashing scheme and can never be served again. Returns
-    ``[(fingerprint, entries)]`` sorted by name."""
+    ``[(fingerprint, entries)]`` sorted by name. Directories without
+    entries are skipped: the default checkpoint store at
+    ``<cache>/checkpoints`` holds fingerprint directories, not
+    entries."""
     out = []
     try:
         names = sorted(os.listdir(directory))
@@ -141,7 +143,8 @@ def stale_fingerprints(directory, current):
         if not os.path.isdir(sub):
             continue
         count = sum(1 for _name, _path in iter_entries(sub))
-        out.append((name, count))
+        if count:
+            out.append((name, count))
     return out
 
 
@@ -153,8 +156,8 @@ def stale_fingerprints(directory, current):
 def walk_store(directory):
     """Yield ``(path, size_bytes, mtime)`` for every JSON entry under
     every fingerprint subdirectory of ``directory`` — sharded and
-    legacy flat entries alike (missing or unreadable paths are
-    silently skipped, like every cache I/O)."""
+    flat entries alike (missing or unreadable paths are silently
+    skipped, like every cache I/O)."""
     try:
         fingerprints = sorted(os.listdir(directory))
     except OSError:
@@ -237,31 +240,14 @@ class ResultCache:
         return os.path.join(self.directory, self.fingerprint,
                             shard_of(job_hash), job_hash + ".json")
 
-    def _flat_path(self, job):
-        """Pre-sharding layout: entries written by older versions live
-        directly under the fingerprint directory."""
-        return os.path.join(self.directory, self.fingerprint,
-                            job.job_hash() + ".json")
-
-    def _load(self, path):
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)["stats"]
-
     def get(self, job):
-        """Stats dict for ``job``, or None on a miss.
-
-        Reads the sharded path first, then falls back to the legacy
-        flat layout, so a cache populated before sharding keeps
-        serving without a migration (``cache migrate`` merely speeds
-        it up)."""
+        """Stats dict for ``job``, or None on a miss."""
         try:
-            stats = self._load(self._path(job))
+            with open(self._path(job), "r", encoding="utf-8") as handle:
+                stats = json.load(handle)["stats"]
         except (OSError, ValueError, KeyError, TypeError):
-            try:
-                stats = self._load(self._flat_path(job))
-            except (OSError, ValueError, KeyError, TypeError):
-                self.misses += 1
-                return None
+            self.misses += 1
+            return None
         self.hits += 1
         return stats
 
@@ -296,55 +282,9 @@ class ResultCache:
 
     # ------------------------------------------------------------------
     def entries(self):
-        """Number of results stored for the current fingerprint
-        (sharded plus legacy flat entries)."""
+        """Number of results stored for the current fingerprint."""
         sub = os.path.join(self.directory, self.fingerprint)
         return sum(1 for _name, _path in iter_entries(sub))
-
-    def flat_entries(self):
-        """Legacy pre-sharding entries still sitting directly under
-        the current fingerprint directory (``cache migrate`` moves
-        them into their shards)."""
-        sub = os.path.join(self.directory, self.fingerprint)
-        try:
-            names = os.listdir(sub)
-        except OSError:
-            return 0
-        return sum(1 for name in names if name.endswith(".json"))
-
-    def migrate(self, all_fingerprints=True):
-        """Move legacy flat-layout entries into their shard
-        directories. Returns the number of entries moved; each move is
-        an ``os.replace`` within the fingerprint directory, so readers
-        racing the migration see either layout, never a torn file."""
-        if all_fingerprints:
-            try:
-                fingerprints = sorted(
-                    name for name in os.listdir(self.directory)
-                    if os.path.isdir(os.path.join(self.directory, name)))
-            except OSError:
-                return 0
-        else:
-            fingerprints = [self.fingerprint]
-        moved = 0
-        for fingerprint in fingerprints:
-            sub = os.path.join(self.directory, fingerprint)
-            try:
-                names = sorted(os.listdir(sub))
-            except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                shard = os.path.join(sub, shard_of(name))
-                try:
-                    os.makedirs(shard, exist_ok=True)
-                    os.replace(os.path.join(sub, name),
-                               os.path.join(shard, name))
-                    moved += 1
-                except OSError:
-                    continue
-        return moved
 
     def prune(self, max_age_days=None, max_bytes=None):
         """Prune old / excess entries across *all* fingerprints (stale
@@ -362,28 +302,20 @@ class ResultCache:
         """``(entries, fingerprints)`` stranded under fingerprints other
         than the current one — results from older code or an older
         hashing scheme that can never be served again (``harness
-        cache`` reports them; ``--clear --all`` or pruning reclaims
+        cache`` reports them; ``harness cache prune`` reclaims
         them)."""
         stale = stale_fingerprints(self.directory, self.fingerprint)
         return sum(count for _name, count in stale), len(stale)
 
-    def clear(self, all_fingerprints=False):
-        """Drop cached results (current fingerprint only by default).
-        Returns the number of entries removed."""
+    def clear(self):
+        """Drop the current fingerprint's cached results. Returns the
+        number of entries removed."""
         removed = 0
-        if all_fingerprints:
+        sub = os.path.join(self.directory, self.fingerprint)
+        for _name, path in list(iter_entries(sub)):
             try:
-                roots = [os.path.join(self.directory, d)
-                         for d in os.listdir(self.directory)]
+                os.unlink(path)
+                removed += 1
             except OSError:
-                return 0
-        else:
-            roots = [os.path.join(self.directory, self.fingerprint)]
-        for root in roots:
-            for _name, path in list(iter_entries(root)):
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
+                pass
         return removed

@@ -20,9 +20,6 @@ Reproduce single points (or small sweeps) without pytest::
     python -m repro.harness list
     python -m repro.harness cache --clear
     python -m repro.harness cache prune --max-age-days 30
-    python -m repro.harness cache migrate
-    python -m repro.harness serve --dir /shared/service --workers 8
-    python -m repro.harness submit examples/sweeps/smoke.toml --wait
 """
 
 import argparse
@@ -179,10 +176,9 @@ def _build_parser():
     cache = sub.add_parser(
         "cache", help="inspect or prune the on-disk stores (results + "
                       "checkpoints)")
-    cache.add_argument("action", nargs="?", choices=("prune", "migrate"),
+    cache.add_argument("action", nargs="?", choices=("prune",),
                        help="'prune' removes aged / excess entries from "
-                            "both stores; 'migrate' moves flat-layout "
-                            "result entries into hash-prefix shards")
+                            "both stores")
     cache.add_argument("--clear", action="store_true",
                        help="drop cached results for the current code "
                             "fingerprint")
@@ -191,50 +187,6 @@ def _build_parser():
     cache.add_argument("--max-bytes", type=int, default=None,
                        help="prune: drop oldest entries beyond this "
                             "total size")
-
-    serve = sub.add_parser(
-        "serve", help="run the simulation service (job broker + "
-                      "HTTP results API) against a shared store")
-    serve.add_argument("--dir", dest="directory", default=None,
-                       help="service store directory (default: "
-                            "REPRO_SERVICE_DIR or <cache>/service)")
-    serve.add_argument("--host", default=None,
-                       help="bind address (default: REPRO_SERVICE_HOST)")
-    serve.add_argument("--port", type=int, default=None,
-                       help="bind port; 0 picks an ephemeral one "
-                            "(default: REPRO_SERVICE_PORT)")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="local worker processes (default: "
-                            "REPRO_SERVICE_WORKERS; 0 = one per CPU)")
-    serve.add_argument("--lease-ttl", type=float, default=None,
-                       help="seconds without a heartbeat before a "
-                            "running job is requeued (default: "
-                            "REPRO_SERVICE_LEASE_TTL)")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       help="per-job wall-clock guard in seconds "
-                            "(default: REPRO_JOB_TIMEOUT)")
-    serve.add_argument("--no-api", action="store_true", default=None,
-                       help="worker-only mode: run the broker against "
-                            "the shared store without the HTTP listener "
-                            "(default: REPRO_SERVICE_NO_API)")
-
-    submit = sub.add_parser(
-        "submit", help="submit a sweep file to a running simulation "
-                       "service")
-    submit.add_argument("file", help="TOML/JSON sweep declaration")
-    submit.add_argument("--url", default=None,
-                        help="service URL (default: discover from the "
-                             "store directory's endpoint.json)")
-    submit.add_argument("--dir", dest="directory", default=None,
-                        help="service store directory for endpoint "
-                             "discovery (default: REPRO_SERVICE_DIR)")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until every job is terminal and "
-                             "print the results")
-    submit.add_argument("--timeout", type=float, default=3600.0,
-                        help="--wait limit in seconds (default: 3600)")
-    submit.add_argument("--json", action="store_true", dest="as_json",
-                        help="emit the raw service responses as JSON")
     return parser
 
 
@@ -690,10 +642,6 @@ def _cmd_cache(args, out):
         removed = store.prune(max_age_days=args.max_age_days,
                               max_bytes=args.max_bytes)
         out.write("pruned %d checkpoint entr(y/ies)\n" % removed)
-    if args.action == "migrate":
-        moved = cache.migrate()
-        out.write("migrated %d flat-layout result(s) into shards\n"
-                  % moved)
     out.write("cache dir   : %s\n" % cache.directory)
     out.write("fingerprint : %s\n" % code_fingerprint())
     out.write("entries     : %d (%d bytes)\n"
@@ -705,80 +653,6 @@ def _cmd_cache(args, out):
     out.write("ckpt entries: %d (%d bytes)\n"
               % (store.entries(), store.total_bytes()))
     return 0
-
-
-def _cmd_serve(args, out):
-    from repro.config import envreg
-    from repro.service import serve as serve_service
-    no_api = args.no_api if args.no_api is not None \
-        else envreg.get("REPRO_SERVICE_NO_API")
-    counters = serve_service(directory=args.directory, host=args.host,
-                             port=args.port, workers=args.workers,
-                             lease_ttl=args.lease_ttl,
-                             job_timeout=args.job_timeout,
-                             no_api=no_api)
-    out.write("service stopped; counters: %s\n"
-              % json.dumps(counters, sort_keys=True))
-    return 0
-
-
-def _cmd_submit(args, out):
-    from repro.config.sweep import SweepError
-    from repro.config.toml_compat import TomlError, load_file
-    from repro.service import ServiceClient, ServiceError
-    from repro.service.store import default_service_dir
-
-    try:
-        doc = load_file(args.file)
-    except (OSError, TomlError) as exc:
-        _log.error("cannot read sweep file: %s", exc)
-        return 2
-    directory = args.directory or (None if args.url
-                                   else default_service_dir())
-    try:
-        client = ServiceClient(url=args.url, directory=directory)
-        reply = client.submit(doc)
-    except (ServiceError, ConnectionError, OSError, SweepError) as exc:
-        _log.error("submit failed: %s", exc)
-        return 1
-
-    sweep_id = reply["sweep_id"]
-    if not args.wait:
-        if args.as_json:
-            json.dump(reply, out, indent=2, sort_keys=True)
-            out.write("\n")
-        else:
-            out.write("submitted %s: %d declared, %d unique job(s)\n"
-                      % (sweep_id, reply["declared"], reply["unique"]))
-            for row in reply["jobs"]:
-                out.write("  %-16s %-24s %s (%s)\n"
-                          % (row["scenario"], row["workload"],
-                             row["job_hash"], row["state"]))
-        return 0
-
-    try:
-        results = client.wait(sweep_id, timeout=args.timeout)
-    except ServiceError as exc:
-        _log.error("wait failed: %s", exc)
-        return 1
-    if args.as_json:
-        json.dump(results, out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        out.write("sweep %s (%s): %d declared, states %s\n"
-                  % (sweep_id, results["name"], results["declared"],
-                     json.dumps(results["states"], sort_keys=True)))
-        for entry in results["entries"]:
-            stats = entry.get("stats") or {}
-            ipc = stats.get("ipc")
-            out.write("  %-16s %-24s %-9s %s\n"
-                      % (entry["scenario"], entry["workload"],
-                         entry["state"],
-                         "ipc=%.4f" % ipc if isinstance(ipc, float)
-                         else (entry.get("error") or "")))
-    failed = sum(1 for entry in results["entries"]
-                 if entry["state"] != "done")
-    return 1 if failed else 0
 
 
 def main(argv=None, out=None):
@@ -803,10 +677,6 @@ def main(argv=None, out=None):
         return _cmd_brchar(args, out)
     if args.command == "list":
         return _cmd_list(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "submit":
-        return _cmd_submit(args, out)
     return _cmd_cache(args, out)
 
 

@@ -197,39 +197,6 @@ class SimJob:
             object.__setattr__(self, "_job_hash", cached)
         return cached
 
-    def decl(self):
-        """JSON-able *declaration*: the constructor arguments, not the
-        resolved snapshot. ``from_decl(decl())`` rebuilds an equal job
-        (same ``job_hash``), which is how the service ships jobs over
-        HTTP and rebuilds them inside worker processes."""
-        out = {"workload": self.workload, "kind": self.kind,
-               "scale": self.scale,
-               "params": [[k, v] for k, v in self.params],
-               "config": [[k, v] for k, v in self.config]}
-        if self.sampling is not None:
-            out["sampling"] = [[k, v] for k, v in self.sampling]
-        if self.max_cycles is not None:
-            out["max_cycles"] = self.max_cycles
-        if self.wall_seconds is not None:
-            out["wall_seconds"] = self.wall_seconds
-        return out
-
-    @classmethod
-    def from_decl(cls, decl):
-        """Rebuild a job from :meth:`decl` output (hash-preserving)."""
-        sampling = decl.get("sampling")
-        if sampling is not None:
-            sampling = dict((k, v) for k, v in sampling)
-        return cls(decl["workload"], decl.get("kind", "baseline"),
-                   decl.get("scale", 0.15),
-                   params=tuple((k, v) for k, v
-                                in decl.get("params", ())),
-                   max_cycles=decl.get("max_cycles"),
-                   wall_seconds=decl.get("wall_seconds"),
-                   sampling=sampling,
-                   config=tuple((k, v) for k, v
-                                in decl.get("config", ())))
-
     def label(self):
         pairs = list(self.params) + list(self.config)
         params = " ".join("%s=%s" % kv for kv in pairs)

@@ -28,8 +28,7 @@ the pool supervises one dedicated process per in-flight job, so a
 killed worker resolves its job to an error carrying the captured exit
 code, and a job past its wall-clock deadline (``wall_seconds`` or the
 ``REPRO_JOB_TIMEOUT`` default) is terminated instead of hanging the
-batch. The service broker (:mod:`repro.service.broker`) leases jobs
-onto the same pool.
+batch.
 """
 
 import os
@@ -230,10 +229,9 @@ class ProcessPool:
       normally fires first (clean traceback); the parent-side kill is
       the backstop for workers too wedged to handle the signal.
 
-    ``running`` still maps job hash -> slot for every in-flight job,
-    so callers that enumerate leases (the service broker's heartbeat)
-    are oblivious to grouping. ``program_loads`` accumulates the real
-    program-build counts the workers report.
+    ``running`` maps job hash -> slot for every in-flight job.
+    ``program_loads`` accumulates the real program-build counts the
+    workers report.
     """
 
     #: Parent-side slack on top of the in-worker SIGALRM guard.
@@ -256,12 +254,9 @@ class ProcessPool:
         """True while any group is still in flight."""
         return bool(self._slots)
 
-    def submit(self, job):
-        """Start one job on a dedicated process (caller checks slots)."""
-        self.submit_group([job])
-
     def submit_group(self, jobs):
-        """Start a job group on one dedicated process."""
+        """Start a job group on one dedicated process (caller checks
+        slots)."""
         jobs = list(jobs)
         group_id = self._next_group
         self._next_group += 1

@@ -315,34 +315,12 @@ class IntervalEvent(Event):
         self.weight = weight
 
 
-class JobStateEvent(Event):
-    """A service job changed state (simulation-as-a-service layer).
-
-    The one event class whose stream is *job-grained* rather than
-    cycle-grained: ``ts`` is wall-clock time, not a simulated cycle.
-    The broker publishes these through its fan-out hub and the HTTP
-    ``/events`` stream ships ``as_dict()`` verbatim, so live progress
-    uses the same lossless record serialisation as pipeline traces.
-    ``state`` is one of the store's job states; ``detail`` optionally
-    carries the cause (``cache``, ``heartbeat stale``, an error tail).
-    """
-
-    __slots__ = ("ts", "job_hash", "state", "detail")
-    etype = "job-state"
-
-    def __init__(self, ts, job_hash, state, detail=None):
-        self.ts = ts
-        self.job_hash = job_hash
-        self.state = state
-        self.detail = detail
-
-
 #: Every concrete event class, in pipeline order (trace documentation).
 EVENT_TYPES = (FtqEnqueueEvent, FetchStallEvent, IcacheAccessEvent,
                MemAccessEvent, FetchEvent, RenameEvent, IssueEvent,
                WritebackEvent, CommitEvent, SquashEvent,
                WrongPathCaptureEvent, ReconvergeEvent, ReuseAttemptEvent,
-               IntervalEvent, JobStateEvent)
+               IntervalEvent)
 
 
 def format_event(event):

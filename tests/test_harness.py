@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import time
 
 import pytest
 
@@ -17,7 +19,7 @@ from repro.harness import (
     submit,
 )
 from repro.harness.cli import main as cli_main
-from repro.harness.runner import default_jobs
+from repro.harness.runner import ProcessPool, default_jobs
 from repro.pipeline.stats import SimStats
 
 _SCALE = 0.05
@@ -178,6 +180,102 @@ def test_progress_callback(tmp_cache):
 
 
 # ---------------------------------------------------------------------------
+# Supervised process pool: fault injection
+#
+# The pool forks its workers, so a monkeypatch applied to
+# ``repro.harness.runner.execute`` in the parent is inherited by every
+# child. A patched function that calls ``os._exit`` simulates a worker
+# killed mid-job: no traceback, no result on the queue, just a corpse
+# with an exit code.
+# ---------------------------------------------------------------------------
+def _pool_job(**kwargs):
+    kwargs.setdefault("workload", "linear-mispred")
+    kwargs.setdefault("kind", "baseline")
+    kwargs.setdefault("scale", 0.02)
+    return SimJob(**kwargs)
+
+
+def test_pool_captures_exit_code_of_killed_worker(monkeypatch):
+    def dies(_job):
+        os._exit(7)
+
+    monkeypatch.setattr("repro.harness.runner.execute", dies)
+    pool = ProcessPool(1)
+    try:
+        pool.submit_group([_pool_job()])
+        done = pool.poll(block=30.0)
+    finally:
+        pool.close()
+    assert len(done) == 1
+    _job_obj, ok, payload = done[0]
+    assert not ok
+    assert "worker died mid-job (exit code 7)" in payload
+
+
+def test_pool_terminates_job_past_wall_timeout(monkeypatch):
+    def hangs(_job):
+        while True:      # ignores nothing, but never finishes
+            time.sleep(0.1)
+
+    monkeypatch.setattr("repro.harness.runner.execute", hangs)
+    pool = ProcessPool(1, job_timeout=0.5)
+    try:
+        pool.submit_group([_pool_job()])
+        done = pool.poll(block=30.0)
+    finally:
+        pool.close()
+    assert len(done) == 1
+    _job_obj, ok, payload = done[0]
+    assert not ok
+    # Either guard is fine: the in-worker SIGALRM normally fires first
+    # ("wall clock guard expired"); the parent-side kill is the
+    # backstop for wedged workers ("exceeded wall-clock timeout").
+    assert "wall clock guard" in payload \
+        or "exceeded wall-clock timeout" in payload
+
+
+def test_run_batch_surfaces_killed_worker_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def dies(_job):
+        os._exit(11)
+
+    monkeypatch.setattr("repro.harness.runner.execute", dies)
+    jobs = [_pool_job(), _pool_job(kind="mssr", params={"streams": 2})]
+    report = run_batch(jobs, n_jobs=2, cache=False, strict=False)
+    assert len(report.errors) == 2
+    for message in report.errors.values():
+        assert "worker died mid-job (exit code 11)" in message
+
+
+def test_group_worker_death_fails_whole_group(monkeypatch):
+    """A worker dying mid-group resolves every unfinished member with
+    the captured exit code instead of hanging the pool."""
+    def dies(_job):
+        os._exit(5)
+
+    monkeypatch.setattr("repro.harness.runner.execute", dies)
+    jobs = [_pool_job(kind="mssr", params={"streams": s})
+            for s in (1, 2, 4)]
+    pool = ProcessPool(1)
+    try:
+        pool.submit_group(jobs)
+        assert pool.free_slots() == 0
+        assert sorted(pool.running) == sorted(j.job_hash()
+                                              for j in jobs)
+        done = []
+        end = time.monotonic() + 30.0
+        while len(done) < 3 and time.monotonic() < end:
+            done.extend(pool.poll(block=1.0))
+    finally:
+        pool.close()
+    assert len(done) == 3
+    for _job_obj, ok, payload in done:
+        assert not ok
+        assert "worker died mid-job (exit code 5)" in payload
+
+
+# ---------------------------------------------------------------------------
 # Shared-image grouping
 # ---------------------------------------------------------------------------
 def _mssr_grid(workload, streams):
@@ -302,7 +400,7 @@ def test_cli_list_and_cache(tmp_cache, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Sharded cache layout + flat-layout migration
+# Sharded cache layout and orphan accounting
 # ---------------------------------------------------------------------------
 def test_put_writes_sharded_layout(tmp_cache):
     from repro.harness.cache import shard_of
@@ -312,38 +410,12 @@ def test_put_writes_sharded_layout(tmp_cache):
     job_hash = job.job_hash()
     expected = (f"{tmp_cache.directory}/{tmp_cache.fingerprint}/"
                 f"{shard_of(job_hash)}/{job_hash}.json")
-    import os
     assert os.path.exists(expected)
     assert tmp_cache.entries() == 1
-    assert tmp_cache.flat_entries() == 0
     assert tmp_cache.get(job) == {"ipc": 1.0}
 
 
-def test_flat_layout_read_through_and_migrate(tmp_cache):
-    import os
-
-    job = SimJob("linear-mispred", "baseline", _SCALE)
-    # Plant an entry in the pre-sharding flat layout by hand.
-    sub = os.path.join(tmp_cache.directory, tmp_cache.fingerprint)
-    os.makedirs(sub, exist_ok=True)
-    with open(os.path.join(sub, job.job_hash() + ".json"), "w") as fh:
-        json.dump({"stats": {"ipc": 2.5}}, fh)
-
-    assert tmp_cache.flat_entries() == 1
-    assert tmp_cache.entries() == 1
-    # Read-through serves the legacy entry without migration...
-    assert tmp_cache.get(job) == {"ipc": 2.5}
-    # ...and migrate moves it into its shard, preserving the payload.
-    assert tmp_cache.migrate() == 1
-    assert tmp_cache.flat_entries() == 0
-    assert tmp_cache.entries() == 1
-    assert tmp_cache.get(job) == {"ipc": 2.5}
-    assert tmp_cache.migrate() == 0          # idempotent
-
-
 def test_prune_and_orphans_walk_shards(tmp_cache):
-    import os
-
     job = SimJob("linear-mispred", "baseline", _SCALE)
     tmp_cache.put(job, {"ipc": 1.0})
     # A stale fingerprint with one sharded and one flat entry.
@@ -362,17 +434,19 @@ def test_prune_and_orphans_walk_shards(tmp_cache):
     assert tmp_cache.entries() == 0
 
 
-def test_cli_cache_migrate(tmp_cache, capsys):
-    import os
+def test_default_checkpoint_store_is_not_an_orphan(tmp_path, monkeypatch):
+    """With default directories the checkpoint store lives at
+    ``<cache>/checkpoints``, beside the fingerprint directories; it
+    holds no result entries, so it is not a stale fingerprint."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
+    job = SimJob("linear-mispred", "baseline", 0.2,
+                 sampling={"interval_insts": 2000})
+    clear_memo()
+    assert run_batch([job]).executed == 1
 
-    job = SimJob("linear-mispred", "baseline", _SCALE)
-    sub = os.path.join(tmp_cache.directory, tmp_cache.fingerprint)
-    os.makedirs(sub, exist_ok=True)
-    with open(os.path.join(sub, job.job_hash() + ".json"), "w") as fh:
-        json.dump({"stats": {"ipc": 3.0}}, fh)
-
-    out = io.StringIO()
-    assert cli_main(["cache", "migrate"], out=out) == 0
-    assert "migrated 1 flat-layout result(s)" in out.getvalue()
-    assert tmp_cache.flat_entries() == 0
-    assert tmp_cache.get(job) == {"ipc": 3.0}
+    cache = ResultCache()
+    assert os.path.isdir(os.path.join(cache.directory, "checkpoints"))
+    assert cache.entries() == 1
+    assert cache.orphaned() == (0, 0)

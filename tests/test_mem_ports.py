@@ -5,18 +5,12 @@ bandwidth, squash survival), the dirty-propagation fix shared with the
 flat hierarchy, the hypothesis latency-bounds property, and the
 core-level contracts: lockstep-green ported runs across the micro
 matrix, MSHR occupancy > 1 on the MLP probe, wrong-path fills visible
-to the correct path, and event/counter agreement. The worker-only
-service mode (``harness serve --no-api``) rides along at the end.
+to the correct path, and event/counter agreement.
 """
-
-import json
-import os
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.jobs import SimJob
 from repro.mem import (
     Cache,
     MemPort,
@@ -32,8 +26,6 @@ from repro.obs import (
 )
 from repro.obs.events import CommitEvent, MemAccessEvent, SquashEvent
 from repro.pipeline import O3Core, baseline_config, mssr_config
-from repro.service import ServiceThread
-from repro.service.store import JobStore
 from repro.workloads import get_workload
 
 _LINE = 64
@@ -390,31 +382,3 @@ def test_metrics_sink_recomputes_mem_counters():
     assert result.stats.mem_accesses > 0
     assert metrics.verify(result.stats) == []
 
-
-# ---------------------------------------------------------------------------
-# Worker-only service (harness serve --no-api)
-# ---------------------------------------------------------------------------
-def test_serve_no_api_drains_shared_store(tmp_path):
-    directory = str(tmp_path)
-    store = JobStore(directory)
-    store.submit([("smoke", SimJob(workload="linear-mispred",
-                                   kind="baseline", scale=0.02))])
-    store.close()
-
-    endpoint_path = os.path.join(directory, "endpoint.json")
-    with ServiceThread(directory, workers=1, no_api=True) as svc:
-        assert svc.url is None
-        with open(endpoint_path, encoding="utf-8") as handle:
-            endpoint = json.load(handle)
-        assert endpoint["api"] is False
-        assert "url" not in endpoint and "port" not in endpoint
-
-        check = JobStore(directory)
-        deadline = time.time() + 60.0
-        while time.time() < deadline:
-            if check.state_counts().get("done") == 1:
-                break
-            time.sleep(0.2)
-        assert check.state_counts() == {"done": 1}
-        check.close()
-    assert not os.path.exists(endpoint_path)  # removed on shutdown
