@@ -58,8 +58,9 @@ class PredictionBlock:
     ``pred_cycle`` is the cycle the BPU predicted (enqueued) the block;
     ``delivered`` flips when the fetch stage hands it to decode.
     ``hist_snap``/``ras_snap`` (decoupled mode only) capture the
-    branch-history and RAS state *before* the block's predictions, for
-    frontend repair when an undelivered block is flushed.
+    branch history (with its folded registers) and RAS state *before*
+    the block's predictions, for frontend repair when an undelivered
+    block is flushed.
     """
 
     __slots__ = ("block_id", "start_pc", "end_pc", "insts", "pred_next_pc",

@@ -7,20 +7,24 @@ All predictors share one contract:
   see each other's (predicted) outcomes — as real frontends do.
 * ``meta`` is opaque state captured at prediction time; the core hands it
   back to :meth:`update` when the branch *commits* (training) and to
-  :meth:`recover` when the branch turns out mispredicted (history repair:
-  the pre-prediction history is restored and the actual outcome pushed).
+  :meth:`recover_branch` when the branch turns out mispredicted (history
+  repair: the pre-prediction history is restored and the actual outcome
+  pushed).
 """
 
 
 class PredictorMeta:
-    """Prediction-time snapshot carried with each in-flight branch."""
+    """Prediction-time snapshot carried with each in-flight branch:
+    the global history and its folded-history registers as they were
+    before the prediction's push."""
 
-    __slots__ = ("history", "pred_taken", "extra")
+    __slots__ = ("history", "pred_taken", "extra", "folds")
 
-    def __init__(self, history, pred_taken, extra=None):
+    def __init__(self, history, pred_taken, extra=None, folds=()):
         self.history = history
         self.pred_taken = pred_taken
         self.extra = extra
+        self.folds = folds
 
 
 class BranchPredictor:
@@ -35,6 +39,10 @@ class BranchPredictor:
     #: consumer's window, making the truncation unobservable.
     HISTORY_BITS = 1024
 
+    #: Folded-history registers mirroring ``history``: none here; TAGE
+    #: keeps them (:class:`repro.frontend.tage.FoldedHistory`).
+    folds = ()
+
     def __init__(self):
         # Global history as an int bit-vector; bit0 is the most recent
         # outcome. Subclasses that don't use history ignore it.
@@ -47,10 +55,22 @@ class BranchPredictor:
                         | (1 if taken else 0)) & self._history_mask
 
     def snapshot_history(self):
-        return self.history
+        """The history and its folded registers, for
+        :meth:`restore_history`."""
+        return self.history, self.folds
 
-    def restore_history(self, history):
-        self.history = history
+    def restore_history(self, snapshot):
+        """Restore a :meth:`snapshot_history` snapshot, or a bare
+        history int, whose registers are then folded from scratch."""
+        if type(snapshot) is tuple:
+            self.history, self.folds = snapshot
+        else:
+            self.history = snapshot
+            self.folds = self._fold_registers(snapshot)
+
+    def _fold_registers(self, history):
+        """Folded registers of ``history``, computed from scratch."""
+        return ()
 
     # -- main interface ---------------------------------------------------
     def predict(self, pc):
@@ -59,7 +79,7 @@ class BranchPredictor:
         Returns ``(taken, meta)`` and speculatively updates history.
         """
         taken, extra = self._lookup(pc)
-        meta = PredictorMeta(self.history, taken, extra)
+        meta = PredictorMeta(self.history, taken, extra, self.folds)
         self._push_history(taken)
         return taken, meta
 
@@ -70,7 +90,15 @@ class BranchPredictor:
     def recover(self, taken, meta):
         """Repair speculative history after a misprediction of this branch."""
         self.history = meta.history
+        self.folds = meta.folds
         self._push_history(taken)
+
+    def recover_branch(self, pc, taken, meta):
+        """The whole repair at the mispredicted branch at ``pc``, run
+        after younger squashed predictions were unwound. Predictors
+        with per-branch speculative state beyond the history extend
+        it."""
+        self.recover(taken, meta)
 
     def _lookup(self, pc):
         """Return (taken, extra) without touching history."""

@@ -14,7 +14,8 @@ the sum just past a fixed threshold and veto a perfectly confident —
 and correct — TAGE prediction forever.
 """
 
-from repro.frontend.tage import _fold
+from repro.frontend.predictors import BranchPredictor
+from repro.frontend.tage import FoldedHistory, _compile
 
 
 class StatisticalCorrector:
@@ -36,27 +37,46 @@ class StatisticalCorrector:
         self.tables = [[0] * table_entries for _ in range(num_tables)]
         self.threshold = threshold
         self._tc = 0
+        self.bind(FoldedHistory(self.fold_windows(),
+                                BranchPredictor.HISTORY_BITS))
 
-    def _index(self, pc, table, history):
-        folded = _fold(history, self.hist_lengths[table], 10)
-        return ((pc >> 2) ^ folded ^ (table * 0x9E5)) % self.table_entries
+    def fold_windows(self):
+        """The (length, width) folds the tables hash."""
+        return [(length, 10) for length in self.hist_lengths]
 
-    def _sum(self, pc, history, tage_taken):
-        total = 8 if tage_taken else -8  # TAGE bias term
-        for table in range(self.num_tables):
-            total += self.tables[table][self._index(pc, table, history)]
-        return total
+    def bind(self, bank):
+        """Compile the table indices (``_indices``) and the counter sum
+        (``_total``) against ``bank``'s registers."""
+        self._bank = bank
+        indices = ["(pc2 ^ %s ^ %d) %% %d"
+                   % (bank.expr(length, 10), table * 0x9E5,
+                      self.table_entries)
+                   for table, length in enumerate(self.hist_lengths)]
+        head = ["pc2 = pc >> 2"] + bank.unpack
+        compiled = _compile("pc, r0, folds", {
+            "indices": head + ["return (%s)" % "".join(
+                index + ", " for index in indices)],
+            "total": head + ["return 0%s" % "".join(
+                " + t%d[%s]" % item for item in enumerate(indices))],
+        }, {"t%d" % table: counters
+            for table, counters in enumerate(self.tables)})
+        self._indices = compiled["indices"]
+        self._total = compiled["total"]
 
     # ------------------------------------------------------------------
-    def predict(self, pc, history, tage_taken, tage_weak=False):
+    def predict(self, pc, history, tage_taken, tage_weak=False,
+                folds=None):
         """Return (use_sc, taken, sum) for the branch at ``pc``.
 
         ``tage_weak`` flags a low-confidence TAGE prediction (provider
         counter in the weak region): the corrector then vetoes TAGE at
         half its usual confidence bar, since the provider carries
-        little conviction worth defending.
+        little conviction worth defending. ``folds`` are the bound
+        bank's registers of ``history``; None folds them from scratch.
         """
-        total = self._sum(pc, history, tage_taken)
+        if folds is None:
+            folds = self._bank.fold(history)
+        total = (8 if tage_taken else -8) + self._total(pc, history, folds)
         taken = total >= 0
         bar = self.threshold
         if tage_weak:
@@ -64,8 +84,9 @@ class StatisticalCorrector:
         use_sc = taken != tage_taken and abs(total) >= bar
         return use_sc, taken, total
 
-    def update(self, pc, history, tage_taken, taken, total):
-        """Train at commit when the sum was weak or the outcome was missed."""
+    def update(self, pc, history, tage_taken, taken, total, folds=None):
+        """Train at commit when the sum was weak or the outcome was
+        missed; ``history`` and ``folds`` as in :meth:`predict`."""
         sc_taken = total >= 0
         if sc_taken != tage_taken:
             # Threshold adaptation on disagreements: raise the bar when
@@ -79,9 +100,9 @@ class StatisticalCorrector:
                 self.threshold = max(self.MIN_THRESHOLD, self.threshold - 1)
         if sc_taken != taken or abs(total) <= self.threshold * 4:
             delta = 1 if taken else -1
-            for table in range(self.num_tables):
-                idx = self._index(pc, table, history)
-                counter = self.tables[table][idx] + delta
-                counter = max(-self.counter_max - 1,
-                              min(self.counter_max, counter))
-                self.tables[table][idx] = counter
+            if folds is None:
+                folds = self._bank.fold(history)
+            for table, idx in zip(self.tables,
+                                  self._indices(pc, history, folds)):
+                table[idx] = max(-self.counter_max - 1,
+                                 min(self.counter_max, table[idx] + delta))

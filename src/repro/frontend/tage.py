@@ -3,18 +3,27 @@
 A base bimodal table plus ``num_tables`` partially-tagged tables indexed
 with geometrically increasing global-history lengths. The provider is the
 longest-history hit; allocation on mispredictions steals a not-useful
-entry from a longer table. The global history is an unbounded Python int
-(bit 0 = most recent), folded down to index/tag widths on access. Folds
-are memoized per table and, like hardware folded-history registers,
-derived in O(1) from the fold of the window one push earlier when that
-one is cached (:meth:`TagePredictor._folds`).
+entry from a longer table. The global history is a Python int (bit 0 =
+most recent), XOR-folded down to the index/tag widths. As in hardware,
+the folds live in folded-history registers (:class:`FoldedHistory`)
+that every push updates in O(1), and each prediction's meta carries
+them as they were before its push, so training and history repair
+never re-fold.
+
+The register update and the table hashes are compiled per geometry:
+shifts, masks and salts become literals in straight-line code, so a
+prediction, the frontend's most frequent call, runs no loop over
+per-table parameters.
 """
+
+import functools
 
 from repro.frontend.predictors import BranchPredictor
 
 
 def _fold(value, length, bits):
-    """XOR-fold the low ``length`` bits of ``value`` into ``bits`` bits."""
+    """XOR-fold the low ``length`` bits of ``value`` into ``bits`` bits.
+    The reference every folded-history register equals."""
     if bits <= 0 or length <= 0:
         return 0
     value &= (1 << length) - 1
@@ -26,21 +35,129 @@ def _fold(value, length, bits):
     return folded
 
 
-def _roll(folded, length, bits, history):
-    """``_fold(history, length, bits)`` from ``folded``, the fold of the
-    window one push earlier (``history >> 1``).
+@functools.lru_cache(maxsize=64)
+def _code(source):
+    return compile(source, "<folded history>", "exec")
 
-    The block-XOR fold puts history bit ``i`` at position ``i % bits``.
-    One push moves every bit one position up — a left rotation within
-    ``bits`` bits — drops the bit that left the ``length``-bit window
-    (now bit ``length``, landing on position ``length % bits``) and
-    adds the new bit at position 0.
+
+def _compile(params, functions, binds=()):
+    """Define each ``name: body lines`` entry of ``functions`` as a
+    function of ``params`` whose globals are ``binds``; returns them by
+    name. Each distinct source compiles once per process."""
+    source = "".join("def %s(%s):\n%s" % (name, params, "".join(
+        "    %s\n" % line for line in body))
+        for name, body in functions.items())
+    namespace = dict(binds)
+    exec(_code(source), namespace)
+    # Taken out of their globals, the functions form no reference
+    # cycle, so a dropped predictor is freed without the cyclic GC.
+    return {name: namespace.pop(name) for name in functions}
+
+
+class FoldedHistory:
+    """Folded-history registers for a fixed set of (length, width)
+    windows of the global history.
+
+    The block-XOR fold of the ``L``-bit window puts history bit ``i`` at
+    position ``i % b``. One push rotates the fold left by one bit within
+    ``b`` bits, XORs in the new bit at position 0, and XORs out the bit
+    that left the window — old history bit ``L - 1``, at position
+    ``L % b``.
+
+    Folds of one width share an int (a word). The lane of a window with
+    ``L > b`` sits at bit offset ``L - 1 - L % b`` (``b * (L // b) - 1``),
+    which puts position ``L % b`` at word bit ``L - 1``, where the
+    leaving bit sits in the old history. A push is then one rotate of
+    every lane plus a single ``old_history & out`` for all windows at
+    once. Windows with the same ``L // b`` would share a lane, so later
+    ones go into a further word of that width. A window with ``L <= b``
+    needs no register: its fold is the history's low ``L`` bits.
+
+    The registers are a tuple of words (``folds``); :meth:`expr` writes
+    the read of one window's fold as source for compiled lookups.
     """
-    if bits <= 0 or length <= 0:
-        return 0
-    folded = ((folded << 1) | (folded >> (bits - 1))) & ((1 << bits) - 1)
-    return folded ^ (((history >> length) & 1) << (length % bits)) \
-        ^ (history & 1)
+
+    def __init__(self, windows, history_bits):
+        words = []          # (width, {L // width: L}) per word
+        exprs = {}
+        for length, bits in sorted(set(windows)):
+            # History never holds more than ``history_bits`` bits, so
+            # a longer window folds the same bits.
+            span = min(length, history_bits)
+            if bits <= 0 or span <= 0:
+                exprs[length, bits] = "0"
+                continue
+            if span <= bits:
+                exprs[length, bits] = "(r0 & %d)" % ((1 << span) - 1)
+                continue
+            lane = span // bits
+            for word, (width, lanes) in enumerate(words):
+                if width == bits and lanes.get(lane, span) == span:
+                    break
+            else:
+                word = len(words)
+                words.append((bits, {}))
+            words[word][1][lane] = span
+            exprs[length, bits] = "((r%d >> %d) & %d)" % (
+                word + 1, bits * lane - 1, (1 << bits) - 1)
+        self._words = words
+        self._exprs = exprs
+        names = ["r%d" % (word + 1) for word in range(len(words))]
+        #: Source line binding ``r1``, ``r2``… to the words of ``folds``.
+        self.unpack = ["%s, = folds" % ", ".join(names)] if names else []
+        body = list(self.unpack)
+        wraps = []
+        for name, (width, spans) in zip(names, words):
+            rotate = wrap = leaving = 0
+            for lane, span in spans.items():
+                base = width * lane - 1
+                rotate |= ((1 << (width - 1)) - 1) << (base + 1)
+                wrap |= 1 << base
+                leaving |= 1 << (span - 1)
+            body.append("%s = (((%s << 1) & %d) | ((%s >> %d) & %d)) "
+                        "^ (r0 & %d)" % (name, name, rotate, name,
+                                         width - 1, wrap, leaving))
+            wraps.append("%s ^ %d, " % (name, wrap))
+        body += ["if taken:",
+                 "    return (%s)" % "".join(wraps),
+                 "return (%s)" % "".join(name + ", " for name in names)]
+        #: ``push(old_history, folds, taken)``: the registers after
+        #: pushing ``taken`` onto ``old_history``.
+        self.push = _compile("r0, folds, taken", {"push": body})["push"]
+
+    def expr(self, length, bits):
+        """Source reading the fold of the ``length``-bit window into
+        ``bits`` bits from ``r0`` (the history) and ``r1``, ``r2``…
+        (the words, see :attr:`unpack`)."""
+        return self._exprs[length, bits]
+
+    def fold(self, history):
+        """The registers of ``history``, folded from scratch."""
+        words = []
+        for width, spans in self._words:
+            word = 0
+            for lane, span in spans.items():
+                word |= _fold(history, span, width) << (width * lane - 1)
+            words.append(word)
+        return tuple(words)
+
+
+class FoldedHistoryPredictor(BranchPredictor):
+    """A predictor whose global history is mirrored by the registers of
+    a :class:`FoldedHistory` bank (``self.folds``)."""
+
+    def _use_bank(self, bank):
+        self._bank = bank
+        self.folds = bank.fold(self.history)
+
+    def _push_history(self, taken):
+        old = self.history
+        self.history = ((old << 1) | (1 if taken else 0)) \
+            & self._history_mask
+        self.folds = self._bank.push(old, self.folds, taken)
+
+    def _fold_registers(self, history):
+        return self._bank.fold(history)
 
 
 class _TageEntry:
@@ -52,7 +169,7 @@ class _TageEntry:
         self.useful = 0
 
 
-class TagePredictor(BranchPredictor):
+class TagePredictor(FoldedHistoryPredictor):
     """TAgged GEometric history length predictor."""
 
     name = "tage"
@@ -83,101 +200,71 @@ class TagePredictor(BranchPredictor):
         self.use_alt_on_na = 8  # 4-bit counter, >=8 prefers altpred on weak
         self._update_count = 0
         self._alloc_seed = 0xACE1
-        # Folded-history memo, one per table: masked history -> the
-        # (index fold, tag fold, shifted second tag fold) triple. Loops
-        # revisit the same few history values, so the hit rate is high;
-        # a miss one push after a cached window is rolled forward in
-        # O(1), the way hardware folded-history registers are updated
-        # (the rolled fold equals the block-XOR `_fold` exactly).
-        self._hist_masks = [(1 << n) - 1 for n in self.hist_lengths]
-        self._fold_caches = [{} for _ in range(num_tables)]
-        self._fold_cache_limit = 1 << 16
+        bank = FoldedHistory(self.fold_windows(), self.HISTORY_BITS)
+        self.bind(bank)
+        self._use_bank(bank)
+
+    def fold_windows(self):
+        """The (length, width) folds the tables hash: the index fold,
+        the tag fold and the second, one-bit-narrower tag fold."""
+        return [(length, bits) for length in self.hist_lengths
+                for bits in (10, self.tag_bits, self.tag_bits - 1)]
+
+    def bind(self, bank):
+        """Compile the table walk (``_walk``) and each table's
+        ``(index, tag)`` (``_slots``) against ``bank``'s registers."""
+        folds = [(bank.expr(length, 10), bank.expr(length, self.tag_bits),
+                  bank.expr(length, self.tag_bits - 1))
+                 for length in self.hist_lengths]
+
+        def slot(table, fold, tag_fold, tag_fold2):
+            return ("(ib ^ %s ^ %d) %% %d"
+                    % (fold, table << 3, self.table_entries),
+                    "(pc2 ^ %s ^ (%s << 1)) & %d"
+                    % (tag_fold, tag_fold2, self.tag_mask))
+
+        head = ["pc2 = pc >> 2", "ib = pc2 ^ (pc >> 6)"] + bank.unpack
+        # Longest history first: the first hit provides, the second is
+        # the alternate.
+        walk = head + ["provider, provider_entry = -1, None"]
+        for table in reversed(range(self.num_tables)):
+            fold, tag_fold, tag_fold2 = folds[table]
+            if fold == tag_fold != "0":
+                walk.append("f = %s" % fold)
+                tag_fold2 = "f" if tag_fold2 == fold else tag_fold2
+                fold = tag_fold = "f"
+            index, tag = slot(table, fold, tag_fold, tag_fold2)
+            walk += ["entry = t%d[%s]" % (table, index),
+                     "if entry.tag == %s:" % tag,
+                     "    if provider_entry is not None:",
+                     "        return provider, provider_entry, %d, entry"
+                     % table,
+                     "    provider, provider_entry = %d, entry" % table]
+        functions = {"walk": walk + ["return provider, provider_entry, "
+                                     "-1, None"]}
+        for table in range(self.num_tables):
+            functions["slot%d" % table] = head + [
+                "return %s, %s" % slot(table, *folds[table])]
+        compiled = _compile("pc, r0, folds", functions, {
+            "t%d" % table: entries
+            for table, entries in enumerate(self.tables)})
+        self._walk = compiled["walk"]
+        self._slots = tuple(compiled["slot%d" % table]
+                            for table in range(self.num_tables))
 
     # ------------------------------------------------------------------
     def _base_index(self, pc):
         return (pc >> 2) % self.base_entries
 
-    def _folds(self, table, history):
-        """Memoized ``(index fold, tag fold, tag fold2 << 1)`` for one
-        table. ``_fold`` masks its input to the history length first, so
-        keying the cache on the masked history is exact. A miss whose
-        window one push earlier is cached rolls that entry forward
-        (:func:`_roll`) instead of re-folding the whole window."""
-        mask = self._hist_masks[table]
-        masked = history & mask
-        cache = self._fold_caches[table]
-        folds = cache.get(masked)
-        if folds is None:
-            length = self.hist_lengths[table]
-            tag_bits = self.tag_bits
-            prev = cache.get((history >> 1) & mask)
-            if prev is None:
-                folds = (_fold(masked, length, 10),
-                         _fold(masked, length, tag_bits),
-                         _fold(masked, length, tag_bits - 1) << 1)
-            else:
-                folds = (_roll(prev[0], length, 10, history),
-                         _roll(prev[1], length, tag_bits, history),
-                         _roll(prev[2] >> 1, length, tag_bits - 1,
-                               history) << 1)
-            if len(cache) >= self._fold_cache_limit:
-                cache.clear()
-            cache[masked] = folds
-        return folds
-
-    def _index(self, pc, table, history):
-        folded = self._folds(table, history)[0]
-        return ((pc >> 2) ^ (pc >> 6) ^ folded ^ (table << 3)) \
-            % self.table_entries
-
-    def _tag(self, pc, table, history):
-        _, folded, folded2 = self._folds(table, history)
-        return ((pc >> 2) ^ folded ^ folded2) & self.tag_mask
-
-    def _find(self, pc, history):
-        """Returns (provider_table, alt_table); -1 means the base table."""
-        provider = alt = -1
-        for table in range(self.num_tables - 1, -1, -1):
-            entry = self.tables[table][self._index(pc, table, history)]
-            if entry.tag == self._tag(pc, table, history):
-                if provider < 0:
-                    provider = table
-                else:
-                    alt = table
-                    break
-        return provider, alt
-
-    def _table_pred(self, pc, table, history):
-        if table < 0:
-            return self.base[self._base_index(pc)] >= 2
-        entry = self.tables[table][self._index(pc, table, history)]
-        return entry.ctr >= 4
-
     def _lookup(self, pc):
-        # Single-pass restructuring of _find + _table_pred: each table's
-        # (index, tag) pair is computed exactly once, and the provider /
-        # alt entries are kept instead of being re-looked-up. Produces
-        # the same (taken, meta) as the original composition.
-        history = self.history
+        return self._probe(pc, self.history, self.folds)
+
+    def _probe(self, pc, history, folds):
+        """``(taken, extra)`` for ``pc`` under ``history`` and its
+        registers ``folds``."""
+        provider, provider_entry, alt, alt_entry = self._walk(
+            pc, history, folds)
         pc2 = pc >> 2
-        idx_base = pc2 ^ (pc >> 6)
-        tables = self.tables
-        num_entries = self.table_entries
-        tag_mask = self.tag_mask
-        provider = alt = -1
-        provider_entry = alt_entry = None
-        for table in range(self.num_tables - 1, -1, -1):
-            idx_fold, tag_fold, tag_fold2 = self._folds(table, history)
-            entry = tables[table][
-                (idx_base ^ idx_fold ^ (table << 3)) % num_entries]
-            if entry.tag == (pc2 ^ tag_fold ^ tag_fold2) & tag_mask:
-                if provider < 0:
-                    provider = table
-                    provider_entry = entry
-                else:
-                    alt = table
-                    alt_entry = entry
-                    break
         if provider < 0:
             base_ctr = self.base[pc2 % self.base_entries]
             taken = provider_pred = alt_pred = base_ctr >= 2
@@ -204,24 +291,22 @@ class TagePredictor(BranchPredictor):
         return max(ctr - 1, 0)
 
     def update(self, pc, taken, meta):
-        history = meta.history
+        history, folds = meta.history, meta.folds
         provider, alt, provider_pred, alt_pred = meta.extra[:4]
         mispredicted = meta.pred_taken != taken
 
-        # use_alt_on_na training: when the provider was weak and provider
-        # and alt disagreed, learn which one to trust.
-        if provider >= 0 and provider_pred != alt_pred:
-            entry = self.tables[provider][self._index(pc, provider, history)]
-            if entry.ctr in (3, 4) and entry.useful == 0:
+        if provider >= 0:
+            entry = self.tables[provider][
+                self._slots[provider](pc, history, folds)[0]]
+            # use_alt_on_na training: when the provider was weak and
+            # provider and alt disagreed, learn which one to trust.
+            if provider_pred != alt_pred and entry.ctr in (3, 4) \
+                    and entry.useful == 0:
                 if alt_pred == taken:
                     self.use_alt_on_na = min(self.use_alt_on_na + 1, 15)
                 else:
                     self.use_alt_on_na = max(self.use_alt_on_na - 1, 0)
-
-        # Train the provider (and base when it provided).
-        if provider >= 0:
-            idx = self._index(pc, provider, history)
-            entry = self.tables[provider][idx]
+            # Train the provider.
             entry.ctr = self._bump(entry.ctr, taken, 7)
             if provider_pred != alt_pred:
                 if provider_pred == taken:
@@ -234,13 +319,13 @@ class TagePredictor(BranchPredictor):
 
         # Allocate a longer-history entry on misprediction.
         if mispredicted and provider < self.num_tables - 1:
-            self._allocate(pc, taken, history, provider)
+            self._allocate(pc, taken, history, folds, provider)
 
         self._update_count += 1
         if self._update_count % self.useful_reset_period == 0:
             self._decay_useful()
 
-    def _allocate(self, pc, taken, history, provider):
+    def _allocate(self, pc, taken, history, folds, provider):
         # Pseudo-random start table among candidates (LFSR, deterministic).
         self._alloc_seed = ((self._alloc_seed >> 1)
                             ^ (-(self._alloc_seed & 1) & 0xB400)) & 0xFFFF
@@ -248,16 +333,17 @@ class TagePredictor(BranchPredictor):
         start = self._alloc_seed % len(candidates)
         rotated = candidates[start:] + candidates[:start]
         for table in rotated:
-            idx = self._index(pc, table, history)
-            entry = self.tables[table][idx]
+            index, tag = self._slots[table](pc, history, folds)
+            entry = self.tables[table][index]
             if entry.useful == 0:
-                entry.tag = self._tag(pc, table, history)
+                entry.tag = tag
                 entry.ctr = 4 if taken else 3
                 entry.useful = 0
                 return
         # Nothing free: age everything we considered.
         for table in candidates:
-            entry = self.tables[table][self._index(pc, table, history)]
+            entry = self.tables[table][
+                self._slots[table](pc, history, folds)[0]]
             entry.useful = max(entry.useful - 1, 0)
 
     def _decay_useful(self):

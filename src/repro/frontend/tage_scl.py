@@ -17,6 +17,11 @@ but the composition follows Seznec's championship predictor:
   disagreed with the SC+TAGE prediction, so a loop predictor that
   keeps losing arguments is dynamically benched.
 
+TAGE and SC hash one set of folded-history registers, owned by the
+composite (:class:`~repro.frontend.tage.FoldedHistory` over both
+components' windows), and each prediction reads every table index and
+tag straight from them.
+
 Speculative state is repaired on two paths: :meth:`recover_branch`
 performs the architectural repair at the mispredicted branch itself
 (history rewind + loop spec-count resync), and :meth:`unwind` rolls
@@ -24,13 +29,15 @@ back one squashed *younger* prediction (loop iteration-count
 checkpoint), applied youngest-first as the frontend flushes.
 """
 
-from repro.frontend.predictors import BranchPredictor, PredictorMeta
-from repro.frontend.tage import TagePredictor
+from repro.frontend.predictors import PredictorMeta
+from repro.frontend.tage import (
+    FoldedHistory, FoldedHistoryPredictor, TagePredictor,
+)
 from repro.frontend.loop_predictor import LoopPredictor
 from repro.frontend.statistical_corrector import StatisticalCorrector
 
 
-class TageSCL(BranchPredictor):
+class TageSCL(FoldedHistoryPredictor):
     """Composite TAGE-SC-L predictor."""
 
     name = "tage-scl"
@@ -46,16 +53,24 @@ class TageSCL(BranchPredictor):
         self.sc = StatisticalCorrector(**(sc_kwargs or {}))
         self.loop = LoopPredictor(**(loop_kwargs or {}))
         self.withloop = 0
+        # The composite owns the authoritative history and registers;
+        # the inner TAGE's own history stays unused.
+        bank = FoldedHistory(
+            self.tage.fold_windows() + self.sc.fold_windows(),
+            self.HISTORY_BITS)
+        self.tage.bind(bank)
+        self.sc.bind(bank)
+        self._use_bank(bank)
 
-    # The composite owns the authoritative history; the inner TAGE shares it.
     def predict(self, pc):
-        self.tage.history = self.history
-        tage_taken, tage_extra = self.tage._lookup(pc)
+        history = self.history
+        folds = self.folds
+        tage_taken, tage_extra = self.tage._probe(pc, history, folds)
         provider_ctr = tage_extra[4]
         tage_weak = provider_ctr in (3, 4)
 
         use_sc, sc_taken, sc_sum = self.sc.predict(
-            pc, self.history, tage_taken, tage_weak=tage_weak)
+            pc, history, tage_taken, tage_weak, folds)
         pre_loop_taken = sc_taken if use_sc else tage_taken
 
         taken = pre_loop_taken
@@ -64,18 +79,20 @@ class TageSCL(BranchPredictor):
             taken = loop_taken
 
         meta = PredictorMeta(
-            self.history, taken,
+            history, taken,
             (tage_extra, tage_taken, sc_sum, pre_loop_taken, loop_valid,
-             loop_taken, loop_ckpt))
+             loop_taken, loop_ckpt), folds)
         self._push_history(taken)
         return taken, meta
 
     def update(self, pc, taken, meta):
         (tage_extra, tage_taken, sc_sum, pre_loop_taken, loop_valid,
          loop_taken, _loop_ckpt) = meta.extra
-        tage_meta = PredictorMeta(meta.history, tage_taken, tage_extra)
+        tage_meta = PredictorMeta(meta.history, tage_taken, tage_extra,
+                                  meta.folds)
         self.tage.update(pc, taken, tage_meta)
-        self.sc.update(pc, meta.history, tage_taken, taken, sc_sum)
+        self.sc.update(pc, meta.history, tage_taken, taken, sc_sum,
+                       meta.folds)
         # withloop hysteresis: trained only on disagreements, where
         # using (or benching) the loop predictor actually matters.
         if loop_valid and loop_taken != pre_loop_taken:
@@ -84,9 +101,6 @@ class TageSCL(BranchPredictor):
             else:
                 self.withloop = max(self.withloop - 1, self.WITHLOOP_MIN)
         self.loop.update(pc, taken)
-
-    def recover(self, taken, meta):
-        super().recover(taken, meta)
 
     def recover_branch(self, pc, taken, meta):
         """Architectural repair at the mispredicted branch itself:

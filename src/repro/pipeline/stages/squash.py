@@ -15,7 +15,6 @@ check) together with the LSQ removal of loads and stores and the IQ
 slot count.
 """
 
-from repro.frontend.tage_scl import TageSCL
 from repro.isa.instruction import INST_BYTES
 from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
 from repro.pipeline.regfile import FREE, RESERVED
@@ -170,17 +169,16 @@ class SquashUnit:
         if request.kind == "branch" and trigger.inst.is_cond_branch \
                 and trigger.bp_meta is not None:
             taken = trigger.actual_npc != trigger.pc + INST_BYTES
-            if isinstance(self.predictor, TageSCL):
-                self.predictor.recover_branch(trigger.pc, taken,
-                                              trigger.bp_meta)
-            else:
-                self.predictor.recover(taken, trigger.bp_meta)
+            self.predictor.recover_branch(trigger.pc, taken,
+                                          trigger.bp_meta)
         else:
             # Replay/verify squash (or jalr): rewind history to the oldest
             # squashed conditional branch's pre-prediction state.
             for dyn in squashed_oldest_first:
-                if dyn.bp_meta is not None:
-                    self.predictor.restore_history(dyn.bp_meta.history)
+                meta = dyn.bp_meta
+                if meta is not None:
+                    self.predictor.restore_history(
+                        (meta.history, meta.folds))
                     break
         for dyn in squashed_oldest_first:
             if dyn.ras_snap is not None:

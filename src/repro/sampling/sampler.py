@@ -20,7 +20,6 @@ the analysis stack unchanged.
 
 import dataclasses
 
-from repro.frontend.tage_scl import TageSCL
 from repro.isa.instruction import INST_BYTES
 from repro.isa.superblock import (
     FLAG_CALL,
@@ -176,10 +175,7 @@ def warm_frontend(core, checkpoint, warmup_branches=None, warmup_mem=None):
         if flags & FLAG_COND:
             pred_taken, meta = predictor.predict(pc)
             if pred_taken != taken:
-                if isinstance(predictor, TageSCL):
-                    predictor.recover_branch(pc, taken, meta)
-                else:
-                    predictor.recover(taken, meta)
+                predictor.recover_branch(pc, taken, meta)
             predictor.update(pc, taken, meta)
             continue
         if flags & FLAG_RET:

@@ -16,7 +16,6 @@ CLI both come from here.
 """
 
 from repro.frontend.predictors import build_predictor
-from repro.frontend.tage_scl import TageSCL
 from repro.utils.rng import XorShift64
 
 #: Base address for synthetic branch PCs (arbitrary, word-aligned).
@@ -111,15 +110,11 @@ def characterize(kind, probe, n=20000, warmup_frac=0.5, **kwargs):
     predictor = build_predictor(kind, **kwargs)
     warmup = int(n * warmup_frac)
     scored = mispredicts = 0
-    is_scl = isinstance(predictor, TageSCL)
     for i, (pc, taken) in enumerate(probe.trace(n)):
         pred_taken, meta = predictor.predict(pc)
         if pred_taken != taken:
             # Same repair the core applies when the branch resolves.
-            if is_scl:
-                predictor.recover_branch(pc, taken, meta)
-            else:
-                predictor.recover(taken, meta)
+            predictor.recover_branch(pc, taken, meta)
         predictor.update(pc, taken, meta)
         if i >= warmup:
             scored += 1

@@ -217,7 +217,7 @@ def test_tage_meta_carries_provider_confidence():
 
 
 # ---------------------------------------------------------------------------
-# Folded histories: the memo's rolled folds equal the block-XOR fold
+# Folded-history registers equal the block-XOR fold
 # ---------------------------------------------------------------------------
 #: Default geometry (history lengths 4..128, 10-bit tags) and a short
 #: one whose lengths fall below, on and between the fold widths, with
@@ -226,19 +226,34 @@ _FOLD_GEOMETRIES = ({}, {"num_tables": 5, "min_history": 1,
                          "max_history": 37, "tag_bits": 2})
 
 
-def _assert_folds_exact(pred):
-    history = pred.history
-    for table, length in enumerate(pred.hist_lengths):
-        want = (tage_module._fold(history, length, 10),
-                tage_module._fold(history, length, pred.tag_bits),
-                tage_module._fold(history, length, pred.tag_bits - 1) << 1)
-        assert pred._folds(table, history) == want, (table, length)
+def _fold_predictors(geometry):
+    """Standalone TAGE and TAGE-SC-L (whose registers also hold the
+    SC's windows) on one geometry."""
+    return [TagePredictor(**geometry), TageSCL(tage_kwargs=geometry)]
+
+
+def _windows(pred):
+    if isinstance(pred, TageSCL):
+        return pred.tage.fold_windows() + pred.sc.fold_windows()
+    return pred.fold_windows()
+
+
+def _assert_registers_exact(pred, history, folds):
+    """Every window's fold, read from ``folds`` by the source the
+    compiled lookups use, equals ``_fold``, and the words hold nothing
+    else."""
+    regs = {"r%d" % i: reg for i, reg in enumerate((history,) + folds)}
+    for length, bits in _windows(pred):
+        assert eval(pred._bank.expr(length, bits), regs) == \
+            tage_module._fold(history, length, bits), (length, bits)
+    assert folds == pred._bank.fold(history)
 
 
 _fold_ops = st.lists(st.one_of(
     st.tuples(st.just("predict"), st.integers(0, 1 << 12)),
     st.tuples(st.just("push"), st.booleans()),
     st.tuples(st.just("restore"), st.integers(0, 63)),
+    st.tuples(st.just("rewind"), st.integers(0, 63)),
     st.tuples(st.just("recover"), st.integers(0, 63), st.booleans()),
     st.tuples(st.just("random"), st.integers(0, (1 << 1024) - 1)),
 ), min_size=1, max_size=120)
@@ -247,35 +262,36 @@ _fold_ops = st.lists(st.one_of(
 @pytest.mark.parametrize("geometry", _FOLD_GEOMETRIES,
                          ids=["default", "short"])
 @settings(max_examples=40, deadline=None)
-@given(ops=_fold_ops, limit=st.sampled_from((4, 64, 1 << 16)))
-def test_tage_folds_match_block_fold(geometry, ops, limit):
-    """Every table's memoized folds equal ``_fold`` after random
-    predictions, pushes, ``restore_history`` rewinds, ``recover``
-    repairs and arbitrary 1024-bit histories — also when the memo is
-    cleared at a tiny ``_fold_cache_limit`` between a window and its
-    successor."""
-    pred = TagePredictor(**geometry)
-    pred._fold_cache_limit = limit
-    metas = []
-    for op in ops:
-        if op[0] == "predict":
-            metas.append(pred.predict(op[1])[1])
-        elif op[0] == "push":
-            pred._push_history(op[1])
-        elif op[0] == "restore" and metas:
-            pred.restore_history(metas[op[1] % len(metas)].history)
-        elif op[0] == "recover" and metas:
-            pred.recover(op[2], metas[op[1] % len(metas)])
-        elif op[0] == "random":
-            pred.restore_history(op[1])
-        _assert_folds_exact(pred)
-        for cache in pred._fold_caches:
-            assert len(cache) <= limit
+@given(ops=_fold_ops)
+def test_tage_folds_match_block_fold(geometry, ops):
+    """Every folded-history register equals ``_fold`` of the history
+    after random predictions, pushes, ``restore_history`` of a bare
+    history and of a snapshot, rewinds to a meta's registers,
+    ``recover_branch`` repairs and arbitrary 1024-bit histories; each
+    meta's registers are those of its own history."""
+    for pred in _fold_predictors(geometry):
+        metas = []
+        for op in ops:
+            if op[0] == "predict":
+                pc = op[1] << 2
+                metas.append(pred.predict(pc)[1])
+                _assert_registers_exact(pred, metas[-1].history,
+                                        metas[-1].folds)
+            elif op[0] == "push":
+                pred._push_history(op[1])
+            elif op[0] == "restore" and metas:
+                pred.restore_history(metas[op[1] % len(metas)].history)
+            elif op[0] == "rewind" and metas:
+                meta = metas[op[1] % len(metas)]
+                pred.restore_history((meta.history, meta.folds))
+            elif op[0] == "recover" and metas:
+                pred.recover_branch(0, op[2], metas[op[1] % len(metas)])
+            elif op[0] == "random":
+                pred.restore_history(op[1])
+            _assert_registers_exact(pred, pred.history, pred.folds)
 
 
-def test_tage_fold_memo_rolls_consecutive_windows(monkeypatch):
-    """After the first window, each push's folds are rolled forward from
-    the previous window's instead of being folded from scratch."""
+def _count_folds(monkeypatch):
     calls = []
     real_fold = tage_module._fold
 
@@ -284,14 +300,104 @@ def test_tage_fold_memo_rolls_consecutive_windows(monkeypatch):
         return real_fold(value, length, bits)
 
     monkeypatch.setattr(tage_module, "_fold", counting_fold)
-    pred = TagePredictor()
+    return calls
+
+
+def test_tage_fold_registers_never_refold(monkeypatch):
+    """Once the predictor is built, prediction, push, repair, training
+    and snapshot rewinds run on the registers alone: ``_fold`` is never
+    called. A bare history int still folds from scratch."""
+    preds = [build_predictor("tage"), build_predictor("tage-scl")]
+    calls = _count_folds(monkeypatch)
     outcomes = 0x2545F4914F6CDD1D
-    windows = set()
-    for i in range(300):
-        windows.add(pred.history & pred._hist_masks[-1])
-        taken, meta = pred.predict(0x400 + 4 * (i % 7))
-        outcome = bool((outcomes >> (i % 64)) & 1)
-        if taken != outcome:
-            pred.recover(outcome, meta)
-    assert len(windows) > 100
-    assert len(calls) == 3 * pred.num_tables   # the first window only
+    for pred in preds:
+        metas = []
+        for i in range(300):
+            pc = 0x400 + 4 * (i % 7)
+            snap = pred.snapshot_history()
+            taken, meta = pred.predict(pc)
+            metas.append(meta)
+            outcome = bool((outcomes >> (i % 64)) & 1)
+            if i % 5 == 0:
+                pred.restore_history(snap)
+                continue
+            if taken != outcome:
+                pred.recover_branch(pc, outcome, meta)
+            pred.update(pc, outcome, meta)
+            if i % 11 == 0:
+                meta = metas[i // 2]
+                pred.restore_history((meta.history, meta.folds))
+            pred._push_history(outcome)
+    assert calls == []
+    for pred in preds:
+        pred.restore_history(outcomes)
+        assert calls
+        del calls[:]
+
+
+def test_core_squash_and_ftq_flush_never_refold(monkeypatch):
+    """The squash unit's history rewind and repair and the decoupled
+    FTQ flush restore registers from the meta and the block snapshot:
+    a replay-heavy run folds nothing after the core is built."""
+    from repro.pipeline import O3Core
+    from repro.pipeline.config import CoreConfig, FrontendConfig
+    from repro.workloads import get_workload
+
+    _mod, prog = get_workload("omnetpp17").build(scale=0.03)
+    core = O3Core(prog, CoreConfig(frontend=FrontendConfig(decoupled=True)))
+    restores = []
+    restore = core.predictor.restore_history
+    core.predictor.restore_history = \
+        lambda snap: restores.append(snap) or restore(snap)
+    calls = _count_folds(monkeypatch)
+    core.run()
+    stats = core.stats
+    assert stats.replay_squashes > 0 and stats.cond_mispredicts > 0
+    assert restores and all(type(snap) is tuple for snap in restores)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["tage", "tage-scl"])
+def test_dropped_predictor_is_freed_without_cyclic_gc(kind):
+    """The compiled lookups hold the tables but form no reference cycle
+    with them, so a core's predictor (thousands of objects) is
+    freed when the core is dropped, not at the next full collection."""
+    import gc
+    import weakref
+
+    pred = build_predictor(kind)
+    tage = pred.tage if kind == "tage-scl" else pred
+    compiled = [weakref.ref(fn) for fn in
+                (tage._walk, tage._slots[0], pred._bank.push)]
+    gc.disable()
+    try:
+        del pred, tage
+        assert [ref() for ref in compiled] == [None] * len(compiled)
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["tage", "tage-scl"])
+def test_snapshot_round_trip_restores_registers_and_predictions(kind):
+    """``snapshot_history`` → several predictions (unwound youngest
+    first, as an FTQ flush does) → ``restore_history`` gives back the
+    history and registers, and the next predictions match those of an
+    identically trained twin that made none of them."""
+    pred, twin = build_predictor(kind), build_predictor(kind)
+    for p in (pred, twin):
+        _train(p, 0x4000, [True, False, False, True, True] * 8, repeats=4)
+    snap = pred.snapshot_history()
+    metas = [pred.predict(0x5000 + 4 * i)[1] for i in range(9)]
+    assert pred.snapshot_history() != snap
+    unwind = getattr(pred, "unwind", None)
+    for meta in reversed(metas):
+        if unwind is not None:
+            unwind(meta)
+    pred.restore_history(snap)
+    assert (pred.history, pred.folds) == (twin.history, twin.folds)
+    for i in range(12):
+        pc = 0x4000 + 8 * (i % 3)
+        got, want = pred.predict(pc), twin.predict(pc)
+        assert got[0] == want[0]
+        assert (got[1].history, got[1].folds, got[1].extra) == \
+            (want[1].history, want[1].folds, want[1].extra)

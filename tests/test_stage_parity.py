@@ -103,6 +103,11 @@ def test_ported_memory_stats_byte_identical(entry):
 #: invalidation), DIR (value-style ``try_reuse``), MSSR with the Bloom
 #: hazard scheme, and MSSR with FTQ-sourced capture on a decoupled
 #: frontend with a finite icache, each on nested-mispred and bfs at 0.1.
+#: Then the predictor paths, captured before TAGE kept its folds in
+#: registers: baseline on the SPEC-like leela and omnetpp17 at 0.03,
+#: whose history windows rarely repeat, under the default TAGE-SC-L and
+#: standalone TAGE (``core.predictor=tage``), and leela on a decoupled
+#: frontend, whose squashes restore history from flushed FTQ blocks.
 _SCHEME_PINNED = json.loads(
     (pathlib.Path(__file__).parent / "data"
      / "scheme_parity_pinned.json").read_text())
@@ -132,6 +137,18 @@ def test_scheme_pins_cover_their_paths():
                               "mssr.ftq_capture"))]
     assert ftq["wpb_captures_ftq"] > 0 and ftq["icache_misses"] > 0
     assert ftq["verify_flushes"] > 0
+    for workload in ("leela", "omnetpp17"):
+        scl = by[(workload, "baseline", ())]
+        tage = by[(workload, "baseline", ("core.predictor",))]
+        for stats in (scl, tage):
+            assert stats["cond_mispredicts"] > 0
+            assert stats["branch_squashes"] > 0
+            assert stats["replay_squashes"] > 0
+        assert scl != tage
+    decoupled = by[("leela", "baseline", ("frontend.decoupled",))]
+    assert decoupled["cond_mispredicts"] > 0
+    assert decoupled["ftq_enqueues"] > 0
+    assert decoupled != by[("leela", "baseline", ())]
 
 
 # ---------------------------------------------------------------------------
