@@ -68,7 +68,7 @@ class FoldedHistory:
     ``L > b`` sits at bit offset ``L - 1 - L % b`` (``b * (L // b) - 1``),
     which puts position ``L % b`` at word bit ``L - 1``, where the
     leaving bit sits in the old history. A push is then one rotate of
-    every lane plus a single ``old_history & out`` for all windows at
+    every lane plus a single ``old_history & mask`` for all windows at
     once. Windows with the same ``L // b`` would share a lane, so later
     ones go into a further word of that width. A window with ``L <= b``
     needs no register: its fold is the history's low ``L`` bits.
