@@ -3,11 +3,16 @@
 Acceptance target: a sampled run reaches <= 1/3 of the full detailed
 run's wall clock on at least one SPEC-like workload, at usable
 accuracy. Measured on leela at scale 2.0 (~110k dynamic instructions,
-6000-instruction intervals, defaults otherwise):
+6000-instruction intervals, k=3 of 18 intervals, defaults otherwise),
+three runs on a 2-vCPU VM with CPython 3.11:
 
-    wall-clock ratio sampled/full : 0.29
+    wall-clock ratio sampled/full : 0.14-0.18 (0.24-0.33 with every
+                                    interval in-process: taskset -c 0)
     detailed instructions         : 21000 / 110176 (19%)
-    IPC error vs full run         : +3.9%
+    IPC error vs full run         : +2.77%
+
+The sampled run simulates its intervals on forked workers, one per
+usable CPU but one, so its wall clock depends on the CPUs it may use.
 
 The sampler's cost is (profiling + checkpointing, both emulator-speed)
 plus k * (detail_warmup + interval) detailed instructions, so the
@@ -57,7 +62,7 @@ def test_sampled_speed_note():
     # The deterministic driver of the speedup: at most 1/3 of the
     # program is simulated in detail.
     assert inst_ratio <= 1.0 / 3.0
-    # Wall clock tracks it; keep slack for CI noise (measured: 0.29).
+    # Wall clock tracks it; keep slack for CI noise (measured: 0.14-0.33).
     assert wall_ratio < 0.6
     # And the estimate stays usable.
     assert abs(err) < 0.10

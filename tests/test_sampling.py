@@ -2,24 +2,41 @@
 
 import io
 import json
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
 from repro.emu import Emulator
-from repro.harness import SimJob, execute
+from repro.harness import SimJob, execute, run_batch
 from repro.harness.cli import main as cli_main
+from repro.harness.jobs import JobTimeout, _WallClock, build_config
+from repro.obs import CallbackSink, Observability
 from repro.pipeline.core import InitialState, O3Core
+from repro.pipeline.stats import SimStats
 from repro.sampling import (
     BBVProfile,
     Checkpoint,
     CheckpointStore,
+    IntervalRun,
     SamplingSpec,
+    SimPoint,
+    aggregate_stats,
     capture_checkpoints,
     pick_simpoints,
     profile_program,
     project_bbv,
     run_sampled,
+)
+from repro.sampling.sampler import (
+    KEYED_STATS,
+    PASSED_STATS,
+    PEAK_STATS,
+    _stats_delta,
+    interval_workers,
+    usable_cpus,
 )
 from repro.workloads.registry import get_workload, suite_names
 
@@ -262,6 +279,216 @@ def test_sampled_run_emits_interval_events(micro_programs):
     begins = [index for phase, index in seen if phase == "begin"]
     ends = [index for phase, index in seen if phase == "end"]
     assert begins == ends == [p.index for p in res.selection.points]
+
+
+# ---------------------------------------------------------------------------
+# Stats that are not counters
+# ---------------------------------------------------------------------------
+#: A sampled ptr-chase run on the ported memory model and the decoupled
+#: frontend: three selected intervals, MSHR overlap and every fetch-stall
+#: reason.
+PORTED_DECOUPLED = {"mem.model": "ported", "frontend.decoupled": True}
+THREE_POINTS = SamplingSpec(interval_insts=2000, max_k=3)
+
+
+@pytest.fixture(scope="module")
+def ptr_chase():
+    return get_workload("ptr-chase").build(1.0)[1]
+
+
+def test_sampled_run_keeps_peaks_and_stall_reasons(ptr_chase):
+    config = build_config("baseline", PORTED_DECOUPLED)
+    full = O3Core(ptr_chase, config).run().stats
+    res = run_sampled(ptr_chase, config, spec=THREE_POINTS)
+    assert len(res.runs) == 3
+    for run in res.runs:
+        # The detailed run's peak, detailed warmup included: never the
+        # difference of two running maxima.
+        assert run.stats.mem_mshr_peak > 0
+        assert sum(run.stats.fetch_stall_reasons.values()) \
+            == run.stats.fetch_stalls
+    assert res.stats.mem_mshr_peak == full.mem_mshr_peak \
+        == max(run.stats.mem_mshr_peak for run in res.runs)
+    reasons = res.stats.fetch_stall_reasons
+    assert set(reasons) == set(full.fetch_stall_reasons)
+    assert abs(sum(reasons.values()) - res.stats.fetch_stalls) \
+        <= len(reasons)
+
+
+def test_interval_delta_and_aggregate_handle_every_field():
+    """A field SimStats grows must be a counter or be listed with the
+    non-counters, and both functions must fill every field they do not
+    pass through."""
+    fields = list(vars(SimStats()))
+    listed = set(KEYED_STATS) | set(PEAK_STATS) | set(PASSED_STATS)
+    assert listed <= set(fields)
+    for name, default in vars(SimStats()).items():
+        assert name in listed or type(default) is int, name
+    before, after = SimStats(), SimStats()
+    for number, name in enumerate(fields, start=1):
+        if name in KEYED_STATS:
+            setattr(before, name, {7: number})
+            setattr(after, name, {7: 3 * number, 9: number})
+        elif name in PASSED_STATS:
+            setattr(after, name, [number])
+        else:
+            setattr(before, name, number)
+            setattr(after, name, 3 * number)
+    delta = _stats_delta(after, before)
+    for number, name in enumerate(fields, start=1):
+        if name in KEYED_STATS:
+            expected = {7: 2 * number, 9: number}
+        elif name in PEAK_STATS or name in PASSED_STATS:
+            expected = getattr(after, name)
+        else:
+            expected = 2 * number
+        assert getattr(delta, name) == expected, name
+
+    point = SimPoint(0, 1.0, 0, delta.committed_insts, 1)
+    est = aggregate_stats([IntervalRun(point, delta)],
+                          10 * delta.committed_insts)
+    for name in fields:
+        value = getattr(delta, name)
+        if name in PASSED_STATS:
+            expected = getattr(SimStats(), name)
+        elif name in PEAK_STATS:
+            expected = value
+        elif name in KEYED_STATS:
+            expected = {key: 10 * count for key, count in value.items()}
+        else:
+            expected = 10 * value
+        assert getattr(est, name) == expected, name
+
+
+# ---------------------------------------------------------------------------
+# Concurrent intervals
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def bounded():
+    """Fail a test that forks interval workers instead of hanging it."""
+    with _WallClock(120.0):
+        yield
+
+
+def _quiet_obs():
+    """A bus with a no-op sink: it keeps every interval in-process."""
+    return Observability(sinks=[CallbackSink(lambda _event: None)])
+
+
+def _all_stats(result):
+    return [result.stats.as_dict()] + \
+        [run.stats.as_dict() for run in result.runs]
+
+
+def _needs_two_cpus():
+    if usable_cpus() < 2:
+        pytest.skip("needs two usable CPUs to fork an interval worker")
+
+
+def test_interval_workers_gates():
+    assert interval_workers(1) == 0
+    assert interval_workers(3, _quiet_obs()) == 0
+    assert interval_workers(3, Observability()) \
+        == min(3, usable_cpus()) - 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30.0,))
+    thread.start()
+    try:
+        assert interval_workers(3) == 0
+    finally:
+        release.set()
+        thread.join(30.0)
+
+
+def test_concurrent_intervals_match_in_process(ptr_chase, tmp_path,
+                                               bounded):
+    config = build_config("mssr", PORTED_DECOUPLED)
+    key_spec = {"workload": "ptr-chase", "scale": 1.0}
+    results = {}
+    for mode in ("default", "in-process"):
+        store = CheckpointStore(directory=str(tmp_path / mode))
+        for store_state in ("cold", "warm"):
+            obs = _quiet_obs() if mode == "in-process" else None
+            res = run_sampled(ptr_chase, config, spec=THREE_POINTS,
+                              obs=obs, store=store, key_spec=key_spec)
+            results[(mode, store_state)] = _all_stats(res)
+        assert (store.stores, store.hits) == (1, 1)
+    reference = results[("in-process", "cold")]
+    assert len(reference) == 4
+    for key, stats in results.items():
+        assert stats == reference, key
+
+
+def _pid_logger(path):
+    def factory():
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("%d\n" % os.getpid())
+    return factory
+
+
+def test_scheme_factory_runs_in_forked_workers(ptr_chase, tmp_path,
+                                               bounded):
+    _needs_two_cpus()
+    log = tmp_path / "pids"
+    run_sampled(ptr_chase, spec=THREE_POINTS,
+                scheme_factory=_pid_logger(log))
+    pids = set(log.read_text().split())
+    assert str(os.getpid()) in pids and len(pids) >= 2
+    log.unlink()
+    run_sampled(ptr_chase, spec=THREE_POINTS, obs=_quiet_obs(),
+                scheme_factory=_pid_logger(log))
+    assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+def test_worker_failures_reach_the_caller(ptr_chase, bounded):
+    _needs_two_cpus()
+    caller = os.getpid()
+
+    def raises():
+        if os.getpid() != caller:
+            raise ValueError("scheme factory failed in a worker")
+
+    def exits():
+        if os.getpid() != caller:
+            os._exit(3)
+
+    with pytest.raises(ValueError, match="failed in a worker"):
+        run_sampled(ptr_chase, spec=THREE_POINTS, scheme_factory=raises)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        run_sampled(ptr_chase, spec=THREE_POINTS, scheme_factory=exits)
+    assert multiprocessing.active_children() == []
+
+
+def test_wall_clock_guard_stops_interval_workers(ptr_chase):
+    _needs_two_cpus()
+    caller = os.getpid()
+
+    def stalls():
+        if os.getpid() != caller:
+            time.sleep(60.0)
+
+    start = time.monotonic()
+    with pytest.raises(JobTimeout):
+        with _WallClock(1.0):
+            run_sampled(ptr_chase, spec=THREE_POINTS,
+                        scheme_factory=stalls)
+    assert time.monotonic() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_sampled_jobs_in_pool_workers_match_serial(sandbox_stores,
+                                                    bounded):
+    """Harness pool workers are daemonic and may not fork: their
+    sampled jobs must keep every interval in-process."""
+    jobs = [SimJob("ptr-chase", kind, 1.0, config=PORTED_DECOUPLED,
+                   sampling=THREE_POINTS)
+            for kind in ("baseline", "mssr")]
+    serial = run_batch(jobs, n_jobs=1, cache=False, memo=None)
+    pooled = run_batch(jobs, n_jobs=2, cache=False, memo=None)
+    assert pooled.groups == 2
+    for job in jobs:
+        assert pooled.results[job].as_dict() \
+            == serial.results[job].as_dict()
 
 
 def test_sampling_spec_validation():
