@@ -20,7 +20,7 @@ reproduction target, not absolute cycle counts.
 
 import math
 
-from repro.harness import SimJob, build_config, build_scheme, submit
+from repro.harness import SimJob, build_config, submit
 from repro.workloads.registry import suite_names
 from repro.hwmodels.storage import StorageModel
 from repro.hwmodels.synthesis import (
@@ -36,10 +36,6 @@ def config_for(kind, **params):
     ``ri`` (params: sets, ways).
     """
     return build_config(kind, **params)
-
-
-def _scheme_for(kind, **params):
-    return build_scheme(kind, **params)
 
 
 def _mssr_job(name, scale, streams, wpb, log):

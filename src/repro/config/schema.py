@@ -26,10 +26,11 @@ from repro.config import envreg
 #: Bumped whenever the schema or the canonical serialisation changes in
 #: a way that alters configuration hashes; folded into job specs and the
 #: harness cache fingerprint so results hashed under an older scheme are
-#: never misattributed to the new one. v4: runtime ``emu`` /
-#: ``harness.shared_images`` keys (superblock dispatch, shared-image
-#: batching). v5: ``mem.*`` section (port-based memory system).
-CONFIG_SCHEMA_VERSION = 5
+#: never misattributed to the new one. v4: runtime
+#: ``harness.shared_images`` key (shared-image batching). v5: ``mem.*``
+#: section (port-based memory system). v6: the flat model reads
+#: ``mem.*`` too, and the core section lost its own L1/L2/DRAM keys.
+CONFIG_SCHEMA_VERSION = 6
 
 #: Model sections, in canonical order.
 MODEL_SECTIONS = ("core", "frontend", "mem", "mssr", "ri", "dir",
@@ -175,32 +176,29 @@ _DOCS = {
     "core.div_latency": "Divide latency (cycles).",
     "core.branch_latency": "Branch resolution latency (cycles).",
     "core.store_latency": "Store execution latency (cycles).",
-    "core.l1_size": "L1 data cache size (bytes).",
-    "core.l1_assoc": "L1 associativity.",
-    "core.l1_latency": "L1 hit latency (cycles).",
-    "core.l2_size": "L2 cache size (bytes).",
-    "core.l2_assoc": "L2 associativity.",
-    "core.l2_latency": "L2 hit latency (cycles).",
-    "core.dram_latency": "DRAM latency (cycles).",
     "core.max_cycles": "Simulated-cycle safety guard.",
     "mem.model":
-        "Memory-system model: flat = synchronous two-level probe "
-        "(default, drives core.l1_*/l2_* knobs); ported = L1I + L1D "
-        "behind a shared L2 with MSHRs and completion-cycle requests.",
+        "Memory-system model: flat = synchronous L1D + L2 + DRAM probe "
+        "(default); ported = L1I + L1D behind a shared L2 with MSHRs "
+        "and completion-cycle requests. Both read the mem.* geometry.",
     "mem.line_bytes": "Cache line size, all levels (bytes; power of two).",
-    "mem.l1i_size": "Ported L1 instruction cache size (bytes).",
-    "mem.l1i_assoc": "Ported L1 instruction cache associativity.",
-    "mem.l1d_size": "Ported L1 data cache size (bytes).",
-    "mem.l1d_assoc": "Ported L1 data cache associativity.",
-    "mem.l1d_latency": "Ported L1 data cache hit latency (cycles).",
-    "mem.l2_size": "Ported shared L2 size (bytes).",
-    "mem.l2_assoc": "Ported shared L2 associativity.",
-    "mem.l2_latency": "Ported shared L2 hit latency (cycles).",
-    "mem.dram_latency": "Ported-model DRAM latency (cycles).",
+    "mem.l1i_size": "L1 instruction cache size (bytes; ported only).",
+    "mem.l1i_assoc": "L1 instruction cache associativity (ported only).",
+    "mem.l1d_size": "L1 data cache size (bytes).",
+    "mem.l1d_assoc": "L1 data cache associativity.",
+    "mem.l1d_latency":
+        "L1 data cache hit latency (cycles); also the cost of a "
+        "store-to-load forward.",
+    "mem.l2_size": "L2 cache size (bytes; shared by L1I and L1D when "
+                   "ported).",
+    "mem.l2_assoc": "L2 cache associativity.",
+    "mem.l2_latency": "L2 hit latency (cycles).",
+    "mem.dram_latency": "DRAM latency (cycles).",
     "mem.mshrs":
         "Outstanding line misses per L1 port (same-line misses merge; "
-        "a full MSHR file stalls the request).",
-    "mem.ports": "Requests each memory port accepts per cycle.",
+        "a full MSHR file stalls the request; ported only).",
+    "mem.ports": "Requests each memory port accepts per cycle (ported "
+                 "only).",
     "mssr.num_streams": "Wrong-path streams tracked (N; DCI = 1).",
     "mssr.wpb_entries": "Wrong-Path Buffer fetch blocks per stream (M).",
     "mssr.squash_log_entries": "Squash Log instructions per stream (P).",
@@ -236,21 +234,15 @@ _DOCS = {
     "sampling.seed": "Deterministic clustering seed.",
 }
 
-#: Enum-like string fields and their closed value sets.
-_CHOICES = {
-    "core.predictor": ("always-taken", "bimodal", "gshare", "tage",
-                       "tage-scl"),
-    "mssr.memory_hazard_scheme": ("verify", "bloom"),
-    "mem.model": ("flat", "ported"),
-}
-
 _ENV_TYPES = {"str": str, "path": str, "int": int, "float": float,
               "bool": bool}
 
 _SCHEMA = None
 
 
-def _dataclass_fields(section, cls, skip=()):
+def _dataclass_fields(section, cls, skip=(), choices=None):
+    """FieldSpecs for ``cls``'s fields; ``choices`` maps a field name to
+    the closed value set its dataclass validates against."""
     specs = []
     for field in dataclasses.fields(cls):
         if field.name in skip:
@@ -262,22 +254,28 @@ def _dataclass_fields(section, cls, skip=()):
         specs.append(FieldSpec(key=key, type=type(default),
                                default=default,
                                doc=_DOCS.get(key, "(undocumented)"),
-                               choices=_CHOICES.get(key)))
+                               choices=(choices or {}).get(field.name)))
     return specs
 
 
 def _build_schema():
     from repro.baselines.dir_reuse import DIRConfig
-    from repro.pipeline.config import (CoreConfig, FrontendConfig,
-                                       MemConfig, MSSRConfig, RIConfig)
+    from repro.pipeline.config import (MEM_MODELS, MEMORY_HAZARD_SCHEMES,
+                                       PREDICTOR_KINDS, CoreConfig,
+                                       FrontendConfig, MemConfig,
+                                       MSSRConfig, RIConfig)
     from repro.sampling.sampler import SamplingSpec
 
     specs = []
     specs += _dataclass_fields("core", CoreConfig,
-                               skip=("frontend", "mem", "mssr", "ri"))
+                               skip=("frontend", "mem", "mssr", "ri"),
+                               choices={"predictor": PREDICTOR_KINDS})
     specs += _dataclass_fields("frontend", FrontendConfig)
-    specs += _dataclass_fields("mem", MemConfig)
-    specs += _dataclass_fields("mssr", MSSRConfig)
+    specs += _dataclass_fields("mem", MemConfig,
+                               choices={"model": MEM_MODELS})
+    specs += _dataclass_fields(
+        "mssr", MSSRConfig,
+        choices={"memory_hazard_scheme": MEMORY_HAZARD_SCHEMES})
     specs += _dataclass_fields("ri", RIConfig)
     dir_defaults = DIRConfig()
     for name in ("num_sets", "assoc"):

@@ -47,7 +47,7 @@ import dataclasses
 import itertools
 
 from repro.config.schema import field, suggestion
-from repro.config.tree import flatten
+from repro.config.tree import flatten, load_file
 
 #: Keys understood in a [sweep] table / Sweep(...) call.
 _SWEEP_KEYS = ("name", "workloads", "scale", "sampling", "jobs", "base",
@@ -271,11 +271,10 @@ def sweep_from_dict(doc):
 
 def load_sweep(path):
     """Parse a ``.toml``/``.json`` sweep file into a :class:`Sweep`."""
-    from repro.config.toml_compat import TomlError, load_file
     try:
         doc = load_file(path)
     except OSError as exc:
         raise SweepError("cannot read sweep file: %s" % exc) from None
-    except TomlError as exc:
+    except ValueError as exc:
         raise SweepError(str(exc)) from None
     return sweep_from_dict(doc)

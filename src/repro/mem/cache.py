@@ -55,7 +55,7 @@ class Cache:
                  "writebacks", "fills", "last_victim_line",
                  "last_victim_dirty", "_victim_key")
 
-    def __init__(self, name, size_bytes, assoc, line_bytes=64, latency=3,
+    def __init__(self, name, size_bytes, assoc, line_bytes, latency,
                  replacement="lru"):
         if size_bytes % (assoc * line_bytes):
             raise ValueError("cache size must be a multiple of way size")

@@ -1,9 +1,9 @@
 """Flat synchronous two-level hierarchy (``mem.model = "flat"``).
 
-Latencies follow the paper's Table 3: 64KB/4-way L1D at 3 cycles, 2MB/
-8-way L2 at 12 cycles, 120-cycle DRAM. An access probes each level in
-order; the returned latency is the first-hit level's (inclusive) load-to-
-use delay. Misses fill all levels on the way back (inclusive hierarchy).
+The geometry comes from ``mem.*`` (``MemConfig``, whose defaults follow
+the paper's Table 3). An access probes each level in order; the
+returned latency is the first-hit level's (inclusive) load-to-use
+delay. Misses fill all levels on the way back (inclusive hierarchy).
 
 This is the default, byte-identical-to-pinned-stats model. The ported
 model (:mod:`repro.mem.ports`) adds MSHRs, bounded outstanding misses
@@ -22,15 +22,20 @@ from repro.mem.cache import Cache
 
 
 class MemoryHierarchy:
-    """L1D + L2 + DRAM timing model."""
+    """L1D + L2 + DRAM timing model.
 
-    def __init__(self, l1_size=64 * 1024, l1_assoc=4, l1_latency=3,
-                 l2_size=2 * 1024 * 1024, l2_assoc=8, l2_latency=12,
-                 dram_latency=120, line_bytes=64):
-        self.l1 = Cache("L1D", l1_size, l1_assoc, line_bytes, l1_latency)
-        self.l2 = Cache("L2", l2_size, l2_assoc, line_bytes, l2_latency)
+    ``config`` is a :class:`~repro.pipeline.config.MemConfig`; its
+    ``l1d_*``, ``l2_*``, ``dram_latency`` and ``line_bytes`` apply.
+    """
+
+    def __init__(self, config):
+        line_bytes = config.line_bytes
+        self.l1 = Cache("L1D", config.l1d_size, config.l1d_assoc,
+                        line_bytes, config.l1d_latency)
+        self.l2 = Cache("L2", config.l2_size, config.l2_assoc,
+                        line_bytes, config.l2_latency)
         self.line_bytes = line_bytes
-        self.dram_latency = dram_latency
+        self.dram_latency = config.dram_latency
         self.dram_accesses = 0
 
     def _fill_l1(self, addr, dirty):

@@ -91,7 +91,7 @@ class MemPort:
                  "mshrs", "ports", "dram_accesses",
                  "_bw_cycle", "_bw_used", "obs")
 
-    def __init__(self, name, l1, l2, dram_latency, mshrs=8, ports=2,
+    def __init__(self, name, l1, l2, dram_latency, mshrs, ports,
                  obs=None):
         self.name = name
         self.l1 = l1
@@ -222,29 +222,30 @@ class PortedICache:
 class PortedMemorySystem:
     """L1I + L1D (one :class:`Cache` class) behind one shared L2.
 
-    Exposes the same ``warm``/``stats`` surface as the flat
-    ``MemoryHierarchy`` so the sampling layer and harness treat the two
-    models interchangeably; the pipeline reaches the timing model
-    through ``dport``/``iport`` instead of synchronous ``access``.
+    ``config`` is a :class:`~repro.pipeline.config.MemConfig`. Exposes
+    the same ``warm``/``stats`` surface as the flat ``MemoryHierarchy``
+    so the sampling layer and harness treat the two models
+    interchangeably; the pipeline reaches the timing model through
+    ``dport``/``iport``.
     """
 
-    def __init__(self, *, line_bytes=64,
-                 l1i_size=32 * 1024, l1i_assoc=4,
-                 l1d_size=64 * 1024, l1d_assoc=4, l1d_latency=3,
-                 l2_size=2 * 1024 * 1024, l2_assoc=8, l2_latency=12,
-                 dram_latency=120, mshrs=8, ports=2, obs=None):
+    def __init__(self, config, obs=None):
+        line_bytes = config.line_bytes
         self.line_bytes = line_bytes
-        self.dram_latency = dram_latency
         # L1I hit latency is subsumed by frontend.fetch_latency, hence
         # latency=0 (an L1I hit adds no extra fetch delay).
-        self.l1i = Cache("L1I", l1i_size, l1i_assoc, line_bytes, 0)
-        self.l1d = Cache("L1D", l1d_size, l1d_assoc, line_bytes,
-                         l1d_latency)
-        self.l2 = Cache("L2", l2_size, l2_assoc, line_bytes, l2_latency)
-        self.dport = MemPort("dport", self.l1d, self.l2, dram_latency,
-                             mshrs=mshrs, ports=ports, obs=obs)
-        self.iport = MemPort("iport", self.l1i, self.l2, dram_latency,
-                             mshrs=mshrs, ports=ports, obs=None)
+        self.l1i = Cache("L1I", config.l1i_size, config.l1i_assoc,
+                         line_bytes, 0)
+        self.l1d = Cache("L1D", config.l1d_size, config.l1d_assoc,
+                         line_bytes, config.l1d_latency)
+        self.l2 = Cache("L2", config.l2_size, config.l2_assoc, line_bytes,
+                        config.l2_latency)
+        self.dport = MemPort("dport", self.l1d, self.l2,
+                             config.dram_latency, config.mshrs,
+                             config.ports, obs=obs)
+        self.iport = MemPort("iport", self.l1i, self.l2,
+                             config.dram_latency, config.mshrs,
+                             config.ports)
         self.icache = PortedICache(self.iport, obs=obs)
 
     @property
@@ -257,15 +258,13 @@ class PortedMemorySystem:
         if l1.lookup(addr):
             if dirty:
                 l1.mark_dirty(addr)
-            return l1.latency
-        hit_l2 = self.l2.lookup(addr)
-        if not hit_l2:
+            return
+        if not self.l2.lookup(addr):
             self.l2.fill(addr, dirty=dirty)
         if l1.fill(addr, dirty=dirty) and l1.last_victim_line is not None:
             victim_addr = l1.last_victim_line * self.line_bytes
             if not self.l2.mark_dirty(victim_addr):
                 self.l2.fill(victim_addr, dirty=True)
-        return self.l2.latency if hit_l2 else self.dram_latency
 
     def warm(self, addr, is_write=False):
         """Warm the data side (sampling-layer functional warmup)."""
@@ -274,11 +273,6 @@ class PortedMemorySystem:
     def warm_inst(self, pc):
         """Warm the instruction side for one fetch address."""
         self._warm_level(self.l1i, pc, False)
-
-    def access(self, addr, is_write=False):
-        """Synchronous compat probe (flat-equivalent first-hit latency);
-        the pipeline proper should use ``dport.request``."""
-        return self._warm_level(self.l1d, addr, bool(is_write))
 
     def stats(self):
         return {

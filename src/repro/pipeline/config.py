@@ -130,15 +130,15 @@ class FrontendConfig:
 class MemConfig:
     """Memory-system parameters (the ``mem.*`` config section).
 
-    ``model="flat"`` (default) keeps the synchronous two-level
-    ``MemoryHierarchy`` — driven by the ``core.l1_*``/``core.l2_*``
-    knobs for stat-parity with pinned snapshots; the ``mem.*`` cache
-    geometry below is ignored. ``model="ported"`` switches to the
-    port-based system: L1I + L1D (one ``Cache`` class) behind one
-    shared L2, bounded MSHRs with same-line miss merging, and
-    completion-cycle requests from execute and fetch. The L1I has no
-    latency knob because its hit latency is already modeled by
-    ``frontend.fetch_latency``.
+    The one memory geometry of both models. ``model="flat"`` (default)
+    is the synchronous two-level ``MemoryHierarchy``: it reads the
+    ``l1d_*``, ``l2_*``, ``dram_latency`` and ``line_bytes`` fields.
+    ``model="ported"`` switches to the port-based system: L1I + L1D
+    (one ``Cache`` class) behind one shared L2, bounded MSHRs with
+    same-line miss merging, and completion-cycle requests from execute
+    and fetch. ``l1i_*``, ``mshrs`` and ``ports`` apply to the ported
+    model only. The L1I has no latency knob because its hit latency is
+    already modeled by ``frontend.fetch_latency``.
     """
 
     model: str = "flat"
@@ -208,13 +208,6 @@ class CoreConfig:
     store_latency: int = 1
 
     # Memory hierarchy
-    l1_size: int = 64 * 1024
-    l1_assoc: int = 4
-    l1_latency: int = 3
-    l2_size: int = 2 * 1024 * 1024
-    l2_assoc: int = 8
-    l2_latency: int = 12
-    dram_latency: int = 120
     #: Memory-system section (the ``mem.*`` config keys).
     mem: MemConfig = dataclasses.field(default_factory=MemConfig)
 
@@ -241,8 +234,6 @@ class CoreConfig:
                         "ras_depth", "width", "rob_entries",
                         "int_iq_entries", "mem_iq_entries", "num_alu",
                         "num_bru", "num_lsu", "lq_entries", "sq_entries",
-                        "l1_size", "l1_assoc", "l1_latency", "l2_size",
-                        "l2_assoc", "l2_latency", "dram_latency",
                         "max_cycles")
         if self.btb_sets & (self.btb_sets - 1):
             raise ValueError("btb_sets must be a power of two, got %d"

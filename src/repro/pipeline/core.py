@@ -110,22 +110,10 @@ class O3Core:
 
         state.memory = SparseMemory(program.initial_memory())
         if cfg.mem.model == "ported":
-            mc = cfg.mem
-            state.memsys = PortedMemorySystem(
-                line_bytes=mc.line_bytes,
-                l1i_size=mc.l1i_size, l1i_assoc=mc.l1i_assoc,
-                l1d_size=mc.l1d_size, l1d_assoc=mc.l1d_assoc,
-                l1d_latency=mc.l1d_latency, l2_size=mc.l2_size,
-                l2_assoc=mc.l2_assoc, l2_latency=mc.l2_latency,
-                dram_latency=mc.dram_latency, mshrs=mc.mshrs,
-                ports=mc.ports, obs=state.obs)
+            state.memsys = PortedMemorySystem(cfg.mem, obs=state.obs)
             state.hierarchy = state.memsys
         else:
-            state.hierarchy = MemoryHierarchy(
-                l1_size=cfg.l1_size, l1_assoc=cfg.l1_assoc,
-                l1_latency=cfg.l1_latency, l2_size=cfg.l2_size,
-                l2_assoc=cfg.l2_assoc, l2_latency=cfg.l2_latency,
-                dram_latency=cfg.dram_latency)
+            state.hierarchy = MemoryHierarchy(cfg.mem)
         state.regfile = PhysRegFile(cfg.num_phys_regs, NUM_ARCH_REGS)
 
         scheme = reuse_scheme

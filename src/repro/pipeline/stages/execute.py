@@ -52,11 +52,10 @@ class ExecuteStage:
         self.hierarchy = state.hierarchy
         # Ported mode: loads/stores issue completion-cycle requests on
         # the L1D port (overlapping misses) instead of the synchronous
-        # hierarchy probe; store-to-load forwards cost an L1 hit.
+        # hierarchy probe. Store-to-load forwards cost an L1 hit.
         self.dport = state.memsys.dport if state.memsys is not None \
             else None
-        self.fwd_latency = cfg.mem.l1d_latency \
-            if state.memsys is not None else cfg.l1_latency
+        self.fwd_latency = cfg.mem.l1d_latency
         self.completions = state.completions
         self.obs = state.obs
         self.config = cfg

@@ -4,12 +4,12 @@ import glob
 import io
 import json
 import os
+import tomllib
 
 import pytest
 
 from repro.config.sweep import (Scenario, Sweep, SweepError, load_sweep,
                                 sweep_from_dict)
-from repro.config.toml_compat import TomlError, _mini_loads, loads
 from repro.harness import ResultCache, clear_memo
 from repro.harness.cli import main as cli_main
 
@@ -46,37 +46,6 @@ def tmp_cache(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     monkeypatch.delenv("REPRO_CONFIG", raising=False)
     return ResultCache(directory=str(cache_dir))
-
-
-# ---------------------------------------------------------------------------
-# TOML compatibility layer
-# ---------------------------------------------------------------------------
-def test_mini_parser_matches_tomllib_on_sweep_files():
-    """The 3.10 fallback parses our sweep subset identically."""
-    doc = loads(_SMOKE_TOML)
-    assert _mini_loads(_SMOKE_TOML) == doc
-    assert doc["sweep"]["name"] == "smoke"
-    assert doc["scenario"][1]["grid"]["mssr"]["num_streams"] == [1, 2]
-
-
-def test_mini_parser_values():
-    doc = _mini_loads(
-        'a = 1\nb = 2.5\nc = "text"  # comment\nd = true\n'
-        'e = [1, 2, 3]\nf = { x = 1, y = "z" }\n'
-        '[t.sub]\nk = 0x10\n')
-    assert doc["a"] == 1 and doc["b"] == 2.5 and doc["c"] == "text"
-    assert doc["d"] is True and doc["e"] == [1, 2, 3]
-    assert doc["f"] == {"x": 1, "y": "z"}
-    assert doc["t"]["sub"]["k"] == 16
-
-
-def test_mini_parser_rejects_garbage():
-    with pytest.raises(TomlError, match="line 1"):
-        _mini_loads("not a key value")
-    with pytest.raises(TomlError, match="duplicate"):
-        _mini_loads("a = 1\na = 2\n")
-    with pytest.raises(TomlError, match="single-line"):
-        _mini_loads("a = [1,\n")
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +100,7 @@ def test_unknown_axis_key_suggests():
 # Sweep expansion + dedupe
 # ---------------------------------------------------------------------------
 def test_expansion_dedupes_across_scenarios():
-    sweep = sweep_from_dict(loads(_SMOKE_TOML))
+    sweep = sweep_from_dict(tomllib.loads(_SMOKE_TOML))
     plan = sweep.expand()
     # baseline + 2 grid points + dci = 4 declared, but dci == grid@1.
     assert plan.declared == 4
@@ -177,17 +146,27 @@ def test_load_sweep_reads_toml_and_json(tmp_path):
     toml_path = tmp_path / "s.toml"
     toml_path.write_text(_SMOKE_TOML)
     json_path = tmp_path / "s.json"
-    json_path.write_text(json.dumps(loads(_SMOKE_TOML)))
+    json_path.write_text(json.dumps(tomllib.loads(_SMOKE_TOML)))
     assert load_sweep(str(toml_path)).expand().declared == \
         load_sweep(str(json_path)).expand().declared
     with pytest.raises(SweepError, match="cannot read"):
         load_sweep(str(tmp_path / "missing.toml"))
 
 
+@pytest.mark.parametrize("name, text", [("bad.toml", "[sweep\nname = 1\n"),
+                                        ("bad.json", '{"sweep": ')],
+                         ids=["toml", "json"])
+def test_malformed_sweep_file_names_the_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(SweepError, match=name):
+        load_sweep(str(path))
+
+
 def test_run_sweep_helper_shares_deduplicated_stats(tmp_cache):
     from repro.analysis.experiments import run_sweep
     clear_memo()
-    plan, rows = run_sweep(loads(_SMOKE_TOML))
+    plan, rows = run_sweep(tomllib.loads(_SMOKE_TOML))
     assert plan.declared == 4 and len(rows) == 4
     dci = [stats for entry, stats in rows.items()
            if entry.scenario == "dci"][0]

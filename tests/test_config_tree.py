@@ -81,7 +81,7 @@ def test_unknown_key_suggests_close_match():
 def test_coerce_parses_strings_and_validates_choices():
     assert field("core.width").coerce("4") == 4
     assert field("mssr.single_page_wpb").coerce("true") is True
-    assert field("core.l1_size").coerce("0x10000") == 65536
+    assert field("mem.l1d_size").coerce("0x10000") == 65536
     with pytest.raises(ValueError, match='did you mean "bloom"'):
         field("mssr.memory_hazard_scheme").coerce("blooom")
     with pytest.raises(ValueError, match="cannot parse 'wide'"):
@@ -137,6 +137,13 @@ def test_file_layer_provenance_records_source(tmp_path):
     assert entry.value == 2
     assert entry.layer == LAYER_FILE
     assert str(path) in entry.describe()
+
+
+def test_malformed_file_layer_names_the_file(tmp_path):
+    path = tmp_path / "bad.toml"
+    path.write_text("[mssr]\nnum_streams = \n")
+    with pytest.raises(ValueError, match="bad.toml"):
+        resolve(file=str(path), env=False)
 
 
 def test_repro_config_names_the_file_layer(tmp_path):

@@ -10,8 +10,9 @@ import pytest
 
 from repro.frontend.predictors import build_predictor
 from repro.pipeline.config import (MEMORY_HAZARD_SCHEMES, PREDICTOR_KINDS,
-                                   CoreConfig, MSSRConfig, RIConfig,
-                                   baseline_config, mssr_config, ri_config)
+                                   CoreConfig, MemConfig, MSSRConfig,
+                                   RIConfig, baseline_config, mssr_config,
+                                   ri_config)
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +70,16 @@ def test_every_declared_predictor_is_buildable():
                                    "fetch_blocks_per_cycle",
                                    "fetch_block_insts",
                                    "lq_entries", "sq_entries",
-                                   "l1_size", "dram_latency",
                                    "max_cycles"])
 def test_core_rejects_non_positive(field):
     with pytest.raises(ValueError, match=field):
         CoreConfig(**{field: 0})
+
+
+@pytest.mark.parametrize("field", ["l1d_size", "dram_latency"])
+def test_mem_rejects_non_positive(field):
+    with pytest.raises(ValueError, match=field):
+        MemConfig(**{field: 0})
 
 
 def test_core_rejects_too_few_phys_regs():

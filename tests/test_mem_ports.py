@@ -26,6 +26,7 @@ from repro.obs import (
 )
 from repro.obs.events import CommitEvent, MemAccessEvent, SquashEvent
 from repro.pipeline import O3Core, baseline_config, mssr_config
+from repro.pipeline.config import MemConfig
 from repro.workloads import get_workload
 
 _LINE = 64
@@ -43,7 +44,7 @@ def _port(mshrs=4, ports=2, l1_size=128, l1_assoc=1, l2_size=1024,
 # Cache generalisation
 # ---------------------------------------------------------------------------
 def test_probe_has_no_side_effects():
-    cache = Cache("t", 128, 2, _LINE)
+    cache = Cache("t", 128, 2, _LINE, 3)
     cache.fill(0)
     hits, misses, tick = cache.hits, cache.misses, cache._tick
     assert cache.probe(0)
@@ -52,7 +53,7 @@ def test_probe_has_no_side_effects():
 
 
 def test_fill_tracks_victim_and_counts():
-    cache = Cache("t", 64, 1, _LINE)          # one line total
+    cache = Cache("t", 64, 1, _LINE, 3)       # one line total
     cache.fill(0, dirty=True)
     assert cache.fills == 1
     assert cache.last_victim_line is None     # free way, no victim
@@ -67,7 +68,7 @@ def test_fill_tracks_victim_and_counts():
 
 
 def test_mru_replacement_policy():
-    cache = Cache("t", 128, 2, _LINE, replacement="mru")
+    cache = Cache("t", 128, 2, _LINE, 3, replacement="mru")
     cache.fill(0)
     cache.fill(2 * _LINE)
     cache.lookup(0)                           # 0 is now most recent
@@ -79,7 +80,7 @@ def test_mru_replacement_policy():
 
 def test_callable_replacement_policy():
     # Evict the highest tag: invalid ways first, then by -tag.
-    cache = Cache("t", 128, 2, _LINE,
+    cache = Cache("t", 128, 2, _LINE, 3,
                   replacement=lambda line: (line.valid, -line.tag))
     cache.fill(2 * _LINE)
     cache.fill(6 * _LINE)
@@ -91,11 +92,11 @@ def test_callable_replacement_policy():
 
 def test_unknown_replacement_policy_rejected():
     with pytest.raises(ValueError, match="unknown replacement policy"):
-        Cache("t", 128, 2, _LINE, replacement="fifo")
+        Cache("t", 128, 2, _LINE, 3, replacement="fifo")
 
 
 def test_flush_returns_dirty_count():
-    cache = Cache("t", 512, 2, _LINE)
+    cache = Cache("t", 512, 2, _LINE, 3)
     cache.fill(0, dirty=True)
     cache.fill(2 * _LINE, dirty=True)
     cache.fill(5 * _LINE)
@@ -110,9 +111,8 @@ def test_flush_returns_dirty_count():
 def test_store_miss_marks_l2_copy_dirty():
     # Regression: a write miss used to install the L2 copy clean, so the
     # store's dirt vanished once the L1 copy was silently reused.
-    hier = MemoryHierarchy(l1_size=128, l1_assoc=2, l1_latency=3,
-                           l2_size=1024, l2_assoc=2, l2_latency=12,
-                           dram_latency=120)
+    hier = MemoryHierarchy(MemConfig(l1d_size=128, l1d_assoc=2,
+                                     l2_size=1024, l2_assoc=2))
     hier.access(0x1000, is_write=True)        # miss all the way to DRAM
     assert hier.l2.flush() == 1               # the L2 copy is dirty
 
@@ -120,9 +120,8 @@ def test_store_miss_marks_l2_copy_dirty():
 def test_l1_dirty_victim_propagates_to_l2():
     # Write-hit dirties only the L1 copy; evicting it must push the
     # dirty state down into the (clean) L2 copy.
-    hier = MemoryHierarchy(l1_size=128, l1_assoc=2, l1_latency=3,
-                           l2_size=2048, l2_assoc=4, l2_latency=12,
-                           dram_latency=120)
+    hier = MemoryHierarchy(MemConfig(l1d_size=128, l1d_assoc=2,
+                                     l2_size=2048, l2_assoc=4))
     hier.access(0x1000)                       # clean fill everywhere
     hier.access(0x1000, is_write=True)        # L1 write hit: L1 dirty only
     # Two clean reads conflicting in the single L1 set but landing in
@@ -246,10 +245,10 @@ def test_request_latency_bounds(ops):
 
 
 # ---------------------------------------------------------------------------
-# PortedMemorySystem: shared L2, flat-compatible warm/access surface
+# PortedMemorySystem: shared L2, flat-compatible warm surface
 # ---------------------------------------------------------------------------
 def test_l1i_and_l1d_share_one_l2():
-    system = PortedMemorySystem()
+    system = PortedMemorySystem(MemConfig())
     assert isinstance(system.l1i, Cache) and isinstance(system.l1d, Cache)
     assert system.iport.l2 is system.dport.l2 is system.l2
     # An instruction fetch warms the unified L2 for the data side.
@@ -258,20 +257,8 @@ def test_l1i_and_l1d_share_one_l2():
     assert system.dport.request(500, 0x4000) == 500 + 12   # L2 hit
 
 
-def test_compat_access_matches_flat_latencies():
-    system = PortedMemorySystem(l1d_size=128, l1d_assoc=2, l1d_latency=3,
-                                l2_size=1024, l2_assoc=2, l2_latency=12,
-                                dram_latency=120)
-    assert system.access(0x1000) == 120       # cold
-    assert system.access(0x1000) == 3         # L1 hit
-    assert system.access(0x1008) == 3         # same line
-    system.access(0x1040)
-    system.access(0x1080)
-    assert system.access(0x1000) == 12        # L1 miss, L2 hit
-
-
 def test_warm_paths_populate_without_mshr_traffic():
-    system = PortedMemorySystem()
+    system = PortedMemorySystem(MemConfig())
     system.warm(0x2000, is_write=True)
     system.warm_inst(0x8000)
     assert system.l1d.probe(0x2000) and system.l2.probe(0x2000)
