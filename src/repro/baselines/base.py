@@ -15,6 +15,8 @@ patched onto the scheme or its class after the core was built is not
 seen.
 """
 
+import weakref
+
 
 class ReuseResult:
     """A successful reuse decision returned by :meth:`ReuseScheme.try_reuse`.
@@ -53,14 +55,21 @@ class ReuseScheme:
 
     def __init__(self):
         self.core = None
+        self.obs = None
+        self.stats = None
 
     def attach(self, core):
-        self.core = core
+        """Bind the scheme to ``core``.
 
-    @property
-    def obs(self):
-        """The core's observability bus (counters + event emission)."""
-        return self.core.obs
+        The core holds the scheme and its resolved hooks, so the scheme
+        keeps only a weak proxy of the core: a dropped core is then
+        freed by reference counting, not left as cyclic garbage. The
+        core's observability bus (counters + event emission) and its
+        ``stats`` are bound directly for the per-instruction paths.
+        """
+        self.core = weakref.proxy(core)
+        self.obs = core.obs
+        self.stats = core.stats
 
     # -- squash-time hooks -------------------------------------------------
     def wants_preg(self, dyn):

@@ -55,16 +55,21 @@ class DynamicInstructionReuse(ReuseScheme):
         self.assoc = self.config.assoc
         self.sets = [[_DIREntry() for _ in range(self.assoc)]
                      for _ in range(self.num_sets)]
+        self.regfile = None            # bound at attach
         self._tick = 0
         self.insertions = 0
         self.replacements = 0
+
+    def attach(self, core):
+        super().attach(core)
+        self.regfile = core.regfile
 
     def _set_for(self, pc):
         return self.sets[(pc >> 2) % self.num_sets]
 
     # ------------------------------------------------------------------
     def on_branch_squash(self, trigger, squashed, squashed_blocks):
-        values = self.core.regfile.values
+        values = self.regfile.values
         for dyn in squashed:
             inst = dyn.inst
             if (not dyn.renamed or not dyn.executed or not inst.writes_reg
@@ -110,7 +115,7 @@ class DynamicInstructionReuse(ReuseScheme):
         if entry.is_load and entry.load_addr is None:
             return None
         self.obs.reuse_test(dyn)
-        regfile = self.core.regfile
+        regfile = self.regfile
         # Value test: every source must be ready with the stored value.
         for preg, stored in zip(dyn.srcs_preg, entry.src_values):
             if not regfile.ready[preg] or regfile.values[preg] != stored:

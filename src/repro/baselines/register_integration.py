@@ -203,4 +203,4 @@ class RegisterIntegration(ReuseScheme):
                     self._release_entry(entry, free_preg=True)
 
     def finalize(self):
-        self.core.stats.ri_set_replacements = list(self.set_replacements)
+        self.stats.ri_set_replacements = list(self.set_replacements)

@@ -149,9 +149,9 @@ def stale_fingerprints(directory, current):
 
 
 # ---------------------------------------------------------------------------
-# Store walking / pruning, shared by every on-disk store with the
-# ``<root>/<fingerprint>/<key>.json`` layout (the result cache here and
-# the checkpoint store in :mod:`repro.sampling.checkpoint`).
+# Store walking / writing / pruning, shared by every on-disk store with
+# the ``<root>/<fingerprint>/<key>.json`` layout (the result cache here
+# and the checkpoint store in :mod:`repro.sampling.checkpoint`).
 # ---------------------------------------------------------------------------
 def walk_store(directory):
     """Yield ``(path, size_bytes, mtime)`` for every JSON entry under
@@ -172,6 +172,31 @@ def walk_store(directory):
             except OSError:
                 continue
             yield path, info.st_size, info.st_mtime
+
+
+def write_json_atomic(path, payload):
+    """Publish ``json.dumps(payload, sort_keys=True)`` at ``path``.
+
+    The text is encoded in one ``json.dumps`` call, which runs the C
+    encoder (``json.dump`` always runs the pure-Python one), and written
+    once to a temporary file beside ``path`` that then replaces it, so
+    a reader never sees a torn file. Raises OSError on failure, leaving
+    no temporary file behind.
+    """
+    text = json.dumps(payload, sort_keys=True)
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def prune_store(directory, max_age_days=None, max_bytes=None, now=None):
@@ -259,23 +284,12 @@ class ResultCache:
         hash, so any row of any table is reproducible from the result
         file alone.
         """
-        path = self._path(job)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            # Atomic publish: never leave a torn JSON file behind.
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump({"job": job.spec(),
+            write_json_atomic(self._path(job),
+                              {"job": job.spec(),
                                "job_hash": job.job_hash(),
                                "config_hash": job.config_hash(),
-                               "stats": stats_dict},
-                              handle, sort_keys=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                               "stats": stats_dict})
         except OSError:
             return
         self.stores += 1

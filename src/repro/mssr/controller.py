@@ -155,7 +155,7 @@ class MSSRController(ReuseScheme):
                 continue
             stream.age += num_insts
             if stream.age >= self.config.reconvergence_timeout:
-                self.core.obs.wpb_timeout(idx)
+                self.obs.wpb_timeout(idx)
                 self._invalidate_stream(idx)
 
     def _try_reconverge(self, block, start):
@@ -179,9 +179,9 @@ class MSSRController(ReuseScheme):
         wpb_stream = self.wpb.streams[stream_idx]
 
         distance = self._squash_events - wpb_stream.event_id + 1
-        self.core.obs.reconverge(stream_idx, reconv_pc, distance,
-                                 self._classify(wpb_stream),
-                                 wpb_stream.trigger_seq)
+        self.obs.reconverge(stream_idx, reconv_pc, distance,
+                            self._classify(wpb_stream),
+                            wpb_stream.trigger_seq)
 
         self._lockstep = _Lockstep(
             stream_idx, log_stream.generation, wpb_stream.pcs(),
@@ -268,8 +268,7 @@ class MSSRController(ReuseScheme):
             raise AssertionError(
                 "squash log misalignment at %#x (logged %#x %s)"
                 % (dyn.pc, entry.pc, entry.op))
-        self.core.obs.reuse_test(dyn, stream_idx, entry_idx,
-                                 entry.src_rgids)
+        self.obs.reuse_test(dyn, stream_idx, entry_idx, entry.src_rgids)
         if (not entry.reusable or not entry.reserved or entry.consumed
                 or entry.failed):
             return None
@@ -334,7 +333,7 @@ class MSSRController(ReuseScheme):
         stream that still holds registers."""
         for idx in list(self._alloc_order):
             if self.log.streams[idx].reserved_pregs():
-                self.core.obs.pressure_free()
+                self.obs.pressure_free()
                 self._invalidate_stream(idx)
                 return True
         return False
@@ -347,18 +346,18 @@ class MSSRController(ReuseScheme):
             self._global_reset(suspend=True)
         elif rat.overflow_events and not self.log.any_valid():
             self._global_reset(suspend=False)
-        self.core.stats.rgid_overflows = max(
-            self.core.stats.rgid_overflows, rat.overflow_events)
+        self.stats.rgid_overflows = max(
+            self.stats.rgid_overflows, rat.overflow_events)
 
     def _global_reset(self, suspend):
-        self.core.obs.rgid_reset()
+        self.obs.rgid_reset()
         self.invalidate_all()
         self.core.rat.reset_rgids()
         if suspend:
             self._suspended_until_commits = (
-                self.core.stats.committed_insts
+                self.stats.committed_insts
                 + self.core.config.rob_entries)
 
     def _suspended(self):
-        return self.core.stats.committed_insts < \
+        return self.stats.committed_insts < \
             self._suspended_until_commits

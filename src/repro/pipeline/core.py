@@ -11,10 +11,11 @@ reconvergence).
 :class:`O3Core` is a facade: the per-stage policy lives in the stage
 objects of :mod:`repro.pipeline.stages`, which communicate only through
 the typed latches in :mod:`repro.pipeline.latches` and the shared
-:class:`~repro.pipeline.latches.CoreState`. ``step()`` walks the stages
-in reverse pipeline order (commit -> writeback -> execute ->
-rename/dispatch -> fetch) so a single-cycle producer wakes its consumer
-back-to-back, then drains the squash arbiter at cycle end.
+:class:`~repro.pipeline.latches.CoreState`. :meth:`O3Core.run` is the
+cycle loop: each cycle it ticks the stages in reverse pipeline order
+(commit -> writeback -> execute -> rename/dispatch -> fetch) so a
+single-cycle producer wakes its consumer back-to-back, then drains the
+squash arbiter at cycle end.
 """
 
 import collections
@@ -183,7 +184,6 @@ class O3Core:
         scheme.attach(self)
         for hook in RESOLVED_HOOKS:
             setattr(state, hook, resolve_hook(scheme, hook))
-        self._cycle_needs_overflow = scheme.on_cycle_overflow_only
 
         # FTQ-sourced wrong-path capture: once the scheme is attached,
         # point the fetch unit's capture sink at its hook. Decode-time
@@ -197,9 +197,6 @@ class O3Core:
         self.execute_stage = ExecuteStage(state)
         self.rename_stage = RenameDispatchStage(state)
         self.fetch_stage = FetchStage(state)
-        self._stages = (self.commit_stage, self.writeback_stage,
-                        self.execute_stage, self.rename_stage,
-                        self.fetch_stage)
         self._squash_unit = SquashUnit(state)
 
     # ------------------------------------------------------------------
@@ -270,25 +267,61 @@ class O3Core:
         call — the pipeline keeps all its in-flight state, so a sampler
         can run a discarded detailed-warmup slice and the measured
         interval back to back.
+
+        This is the cycle loop. Each cycle ticks every stage once, in
+        reverse pipeline order, then applies the arbitrated squash and
+        the scheme's ``on_cycle`` hook. A ``halt`` retiring at commit
+        ends its cycle there (only commit can halt). The stage ticks
+        are bound here, once per call, so a stage swapped in after
+        construction or a tick wrapped on its class is the one that
+        runs.
         """
         state = self.state
-        state.commit_limit = self.stats.committed_insts + max_insts \
+        stats = self.stats
+        obs = self.obs
+        state.commit_limit = stats.committed_insts + max_insts \
             if max_insts is not None else None
         if state.budget_stop:
             state.budget_stop = False
             state.halted = False
         limit = max_cycles or self.config.max_cycles
+        commit = self.commit_stage.tick
+        writeback = self.writeback_stage.tick
+        execute = self.execute_stage.tick
+        rename = self.rename_stage.tick
+        fetch = self.fetch_stage.tick
+        apply_squash = self._squash_unit.apply
+        arbiter = state.squash_arbiter
+        on_cycle = state.on_cycle
+        overflow_only = self.scheme.on_cycle_overflow_only
+        rat = state.rat
+        cycle = state.cycle
         while not state.halted:
-            if state.cycle >= limit:
+            if cycle >= limit:
                 raise self._sim_error(
                     "cycle budget exhausted (%d)" % limit)
-            if state.cycle - state.last_commit_cycle > 100_000:
+            if cycle - state.last_commit_cycle > 100_000:
                 raise self._sim_error(
                     "deadlock: no commit since cycle %d"
                     % state.last_commit_cycle)
-            self.step()
+            cycle += 1
+            state.cycle = stats.cycles = obs.cycle = cycle
+            commit()
+            if state.halted:
+                break
+            writeback()
+            execute()
+            rename()
+            fetch()
+            if arbiter.pending is not None:
+                apply_squash(arbiter.take())
+            if on_cycle is not None and (rat.overflow_events
+                                         or not overflow_only):
+                on_cycle(cycle)
+            if state.budget_stop:
+                state.halted = True
         self.scheme.finalize()
-        return SimResult(self.arch_regs(), self.memory, self.stats)
+        return SimResult(self.arch_regs(), self.memory, stats)
 
     def _sim_error(self, message):
         """Build a :class:`SimulationError`, auto-dumping any ring-buffer
@@ -300,24 +333,3 @@ class O3Core:
             _log.error("%s; last %d events:\n%s", message, len(dump),
                        "\n".join(dump))
         return error
-
-    def step(self):
-        """Advance one cycle: reverse-order stage walk, then squash."""
-        state = self.state
-        state.cycle += 1
-        cycle = state.cycle
-        state.stats.cycles = cycle
-        state.obs.cycle = cycle
-        for stage in self._stages:
-            stage.tick()
-            if state.halted:
-                return
-        arbiter = state.squash_arbiter
-        if arbiter.pending is not None:
-            self._squash_unit.apply(arbiter.take())
-        on_cycle = state.on_cycle
-        if on_cycle is not None and (state.rat.overflow_events
-                                     or not self._cycle_needs_overflow):
-            on_cycle(cycle)
-        if state.budget_stop:
-            state.halted = True

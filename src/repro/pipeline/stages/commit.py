@@ -35,8 +35,12 @@ class CommitStage:
         self.fetch = state.fetch
 
     def tick(self):
+        # Wake test: nothing retires unless the ROB head is done.
         rob = self.rob
         if not rob:
+            return
+        head = rob[0]
+        if not head.completed or (head.verify_load and not head.executed):
             return
         state = self.state
         obs = self.obs
@@ -47,11 +51,6 @@ class CommitStage:
         free = regfile.free_list
         on_preg_freed = self.on_preg_freed
         for _ in range(self.width):
-            if not rob:
-                return
-            head = rob[0]
-            if not head.completed or (head.verify_load and not head.executed):
-                return
             rob.popleft()
             head.committed = True
 
@@ -95,8 +94,14 @@ class CommitStage:
             if state.commit_limit is not None \
                     and state.stats.committed_insts >= state.commit_limit:
                 # Stop committing, but let the rest of this cycle's
-                # stages run before halting (step() raises the halt):
-                # completion events already scheduled for this cycle
-                # must drain, or a resumed run would deadlock on them.
+                # stages run before halting (the cycle loop raises the
+                # halt at cycle end): completion events already
+                # scheduled for this cycle must drain, or a resumed run
+                # would deadlock on them.
                 state.budget_stop = True
+                return
+            if not rob:
+                return
+            head = rob[0]
+            if not head.completed or (head.verify_load and not head.executed):
                 return

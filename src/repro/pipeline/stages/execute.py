@@ -32,16 +32,18 @@ def _sext32(value):
 class ExecuteStage:
     """Select ready instructions from the issue queues and execute them."""
 
-    __slots__ = ("state", "width", "iqs", "fus", "num_alu", "num_bru",
-                 "num_lsu", "div_latency", "regfile", "lsq", "hierarchy",
-                 "dport", "fwd_latency", "completions", "obs", "config",
-                 "kind_latency", "execute_inst")
+    __slots__ = ("state", "width", "iqs", "int_iq", "mem_iq", "fus",
+                 "num_alu", "num_bru", "num_lsu", "div_latency", "regfile",
+                 "lsq", "hierarchy", "dport", "fwd_latency", "completions",
+                 "obs", "config", "kind_latency", "execute_inst")
 
     def __init__(self, state):
         cfg = state.config
         self.state = state
         self.width = cfg.width
         self.iqs = state.iqs
+        self.int_iq = state.int_iq
+        self.mem_iq = state.mem_iq
         self.fus = state.fus
         self.num_alu = cfg.num_alu
         self.num_bru = cfg.num_bru
@@ -66,9 +68,11 @@ class ExecuteStage:
             cfg.branch_latency, 0, cfg.store_latency,
             cfg.alu_latency, cfg.alu_latency)
         # Differential-testing escape hatch: dispatch execute through
-        # the original interpretive path.
-        self.execute_inst = self._execute_inst_slow if slowpath_enabled() \
-            else self._execute_inst
+        # the original interpretive path. Kept unbound: a bound method
+        # stored on the stage would make every core cyclic garbage.
+        cls = type(self)
+        self.execute_inst = cls._execute_inst_slow if slowpath_enabled() \
+            else cls._execute_inst
 
     def tick(self):
         """Issue, oldest first per IQ, what this cycle's ports allow.
@@ -81,6 +85,9 @@ class ExecuteStage:
         horizon lives on ``fus``. Each issued instruction then executes
         in one call.
         """
+        # Wake test: nothing is ready to issue.
+        if not self.int_iq._ready and not self.mem_iq._ready:
+            return
         cycle = self.state.cycle
         execute = self.execute_inst
         fus = self.fus
@@ -126,7 +133,7 @@ class ExecuteStage:
                 if granted:
                     take -= 1
                     iq.size -= 1
-                    execute(dyn)
+                    execute(self, dyn)
                 else:
                     remaining.append(dyn)
             iq._ready = remaining

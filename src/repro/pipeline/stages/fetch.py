@@ -11,28 +11,36 @@ the icache live in the frontend (:mod:`repro.frontend.fetch`,
 class FetchStage:
     """Deliver predicted blocks from the frontend into the decode queue."""
 
-    __slots__ = ("state", "fetch", "decode_queue", "obs", "on_fetch_block",
-                 "blocks_per_cycle", "block_insts")
+    __slots__ = ("state", "fetch", "decoupled", "entries", "limit", "obs",
+                 "on_fetch_block", "blocks_per_cycle")
 
     def __init__(self, state):
         cfg = state.config
         self.state = state
         self.fetch = state.fetch
-        self.decode_queue = state.decode_queue
+        self.decoupled = state.fetch.decoupled
+        self.entries = state.decode_queue.entries
+        # Deliver only while a whole block still fits.
+        self.limit = state.decode_queue.capacity - cfg.fetch_block_insts
         self.obs = state.obs
         self.on_fetch_block = state.on_fetch_block
         self.blocks_per_cycle = cfg.fetch_blocks_per_cycle
-        self.block_insts = cfg.fetch_block_insts
 
     def tick(self):
-        cycle = self.state.cycle
         fetch = self.fetch
-        # Decoupled mode: the BPU runs ahead into the FTQ regardless of
-        # decode backpressure (no-op when fused).
-        fetch.tick(cycle)
-        entries = self.decode_queue.entries
-        # Deliver only while a whole block still fits.
-        limit = self.decode_queue.capacity - self.block_insts
+        if self.decoupled:
+            # The BPU runs ahead into the FTQ every cycle, regardless of
+            # decode backpressure.
+            fetch.tick(self.state.cycle)
+        elif fetch.stalled:
+            # Wake test: a fused frontend waits for a redirect.
+            return
+        # Wake test: the decode queue cannot take a whole block.
+        entries = self.entries
+        limit = self.limit
+        if len(entries) > limit:
+            return
+        cycle = self.state.cycle
         on_fetch_block = self.on_fetch_block
         for _ in range(self.blocks_per_cycle):
             if len(entries) > limit:

@@ -45,12 +45,24 @@ class RenameDispatchStage:
         self.obs = state.obs
 
     def tick(self):
+        # Wake test: the decode-queue head is still in the frontend
+        # pipeline, or the ROB or the head's issue queue has no room for
+        # it (a dependent load chain fills the integer IQ for hundreds
+        # of cycles).
         dq = self.decode_queue.entries
         if not dq:
             return
         frontier = self.state.cycle - self.frontend_stages
         rob = self.rob
         rob_entries = self.rob_entries
+        head = dq[0]
+        if head.fetch_cycle > frontier or len(rob) >= rob_entries:
+            return
+        kind = head.pd.kind
+        if kind < KIND_NOP:
+            iq = self.mem_iq if kind >= KIND_LOAD else self.int_iq
+            if iq.size >= iq.capacity:
+                return
         rat = self.rat
         rmap = rat.map
         rgids = rat.rgid

@@ -34,6 +34,7 @@ class WritebackStage:
         self.arbiter = state.squash_arbiter
 
     def tick(self):
+        # Wake test: no completion is due this cycle.
         done = self.completions.by_cycle.pop(self.state.cycle, None)
         if not done:
             return

@@ -19,7 +19,6 @@ import collections
 import hashlib
 import json
 import os
-import tempfile
 
 from repro.emu.emulator import Emulator
 from repro.harness.cache import (
@@ -27,6 +26,7 @@ from repro.harness.cache import (
     default_cache_dir,
     prune_store,
     walk_store,
+    write_json_atomic,
 )
 from repro.pipeline.core import InitialState
 
@@ -173,18 +173,8 @@ class CheckpointStore:
 
     def put(self, key, payload):
         """Persist a payload dict; failures are silently ignored."""
-        path = self._path(key)
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, sort_keys=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            write_json_atomic(self._path(key), payload)
         except OSError:
             return
         self.stores += 1

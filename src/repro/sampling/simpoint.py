@@ -101,21 +101,30 @@ class SimPointSelection:
 # ---------------------------------------------------------------------------
 # Projection
 # ---------------------------------------------------------------------------
-def project_bbv(bbv, num_insts, dims=DEFAULT_DIMS, seed=DEFAULT_SEED):
+def project_bbv(bbv, num_insts, dims=DEFAULT_DIMS, seed=DEFAULT_SEED,
+                rows=None):
     """L1-normalise a BBV and randomly project it to ``dims`` floats.
 
     The projection row for each block leader is generated from a hash of
     the leader pc, so equal leaders project identically everywhere and
-    nothing needs to be stored or synchronised.
+    nothing needs to be stored or synchronised. ``rows`` memoises the
+    rows drawn so far (leader -> row) across calls with the same
+    ``dims`` and ``seed``, so each leader's row is drawn once; the
+    vector is the same with or without it.
     """
     vec = [0.0] * dims
     if not num_insts:
         return vec
+    if rows is None:
+        rows = {}
     for leader, count in bbv.items():
         weight = count / num_insts
-        rng = XorShift64(mix_hash(leader ^ seed))
-        for j in range(dims):
-            vec[j] += weight * (2.0 * rng.random() - 1.0)
+        row = rows.get(leader)
+        if row is None:
+            rng = XorShift64(mix_hash(leader ^ seed))
+            row = rows[leader] = [2.0 * rng.random() - 1.0
+                                  for _ in range(dims)]
+        vec = [v + weight * r for v, r in zip(vec, row)]
     return vec
 
 
@@ -220,7 +229,8 @@ def pick_simpoints(profile, max_k=8, dims=DEFAULT_DIMS, seed=DEFAULT_SEED):
     intervals = profile.intervals
     if not intervals:
         raise ValueError("profile has no intervals")
-    vectors = [project_bbv(iv.bbv, iv.num_insts, dims, seed)
+    rows = {}
+    vectors = [project_bbv(iv.bbv, iv.num_insts, dims, seed, rows)
                for iv in intervals]
     n = len(vectors)
     max_k = max(1, min(max_k, n))

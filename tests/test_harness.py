@@ -415,6 +415,56 @@ def test_put_writes_sharded_layout(tmp_cache):
     assert tmp_cache.get(job) == {"ipc": 1.0}
 
 
+def _result_store(directory):
+    store = ResultCache(directory=directory, fingerprint="f" * 16)
+    job = SimJob("linear-mispred", "baseline", _SCALE)
+    stats = {"ipc": 1.5, "hist": {"3": 2}, "name": "caf\u00e9"}
+    payload = {"job": job.spec(), "job_hash": job.job_hash(),
+               "config_hash": job.config_hash(), "stats": stats}
+    return (store, lambda: store.put(job, stats), lambda: store.get(job),
+            stats, store._path(job), payload)
+
+
+def _checkpoint_store(directory):
+    from repro.sampling import CheckpointStore
+
+    store = CheckpointStore(directory=directory, fingerprint="f" * 16)
+    payload = {"regs": [0, 2 ** 63, -1], "pc": 4096, "w": 0.25,
+               "name": "caf\u00e9", "mem": {"8": 1}}
+    return (store, lambda: store.put("feedc0de", payload),
+            lambda: store.get("feedc0de"), payload,
+            store._path("feedc0de"), payload)
+
+
+@pytest.mark.parametrize("make", [_result_store, _checkpoint_store],
+                         ids=["results", "checkpoints"])
+def test_store_put_writes_json_dumps_atomically(tmp_path, make,
+                                                  monkeypatch):
+    """Both on-disk stores publish through one atomic writer: the file
+    holds exactly ``json.dumps(payload, sort_keys=True)`` and reads
+    back, and a failed write leaves neither an entry nor a temporary
+    file."""
+    store, put, get, value, path, payload = make(str(tmp_path / "ok"))
+    put()
+    assert store.stores == 1
+    assert get() == value
+    with open(path, encoding="utf-8") as handle:
+        assert handle.read() == json.dumps(payload, sort_keys=True)
+
+    store, put, get, _value, path, _payload = make(str(tmp_path / "bad"))
+
+    def fail(*_args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    put()
+    monkeypatch.undo()
+    assert store.stores == 0 and get() is None
+    leftovers = [name for _dir, _dirs, names in os.walk(tmp_path / "bad")
+                 for name in names]
+    assert leftovers == []
+
+
 def test_prune_and_orphans_walk_shards(tmp_cache):
     job = SimJob("linear-mispred", "baseline", _SCALE)
     tmp_cache.put(job, {"ipc": 1.0})

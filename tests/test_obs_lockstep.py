@@ -70,9 +70,6 @@ class _FaultyCore(O3Core):
         faulty = _FaultyWriteback(self.state)
         type(faulty).fault_pc = self.fault_pc
         self.writeback_stage = faulty
-        self._stages = tuple(
-            faulty if isinstance(s, WritebackStage) else s
-            for s in self._stages)
 
 
 # ---------------------------------------------------------------------------

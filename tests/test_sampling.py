@@ -106,6 +106,35 @@ def test_projection_is_deterministic():
     assert project_bbv(bbv, 1000) != project_bbv(bbv, 1000, seed=1)
 
 
+@pytest.mark.parametrize("name", ["leela", "xz"])
+def test_projection_row_memo_changes_nothing(name, monkeypatch):
+    """``pick_simpoints`` draws each leader's projection row once per
+    call. The vectors and the selection equal those of a fresh row
+    memo per interval, which draws a leader's row for every interval
+    that holds it."""
+    from repro.sampling import simpoint
+
+    _mod, prog = get_workload(name).build(1.0)
+    profile = profile_program(prog, 2000)
+    intervals = profile.intervals
+    rows = {}
+    shared = [project_bbv(iv.bbv, iv.num_insts, rows=rows)
+              for iv in intervals]
+    fresh = [project_bbv(iv.bbv, iv.num_insts) for iv in intervals]
+    assert shared == fresh
+    leaders = set().union(*(iv.bbv for iv in intervals))
+    assert sorted(rows) == sorted(leaders)
+    assert sum(len(iv.bbv) for iv in intervals) > 10 * len(leaders)
+
+    selection = pick_simpoints(profile).as_dict()
+    project = simpoint.project_bbv
+    monkeypatch.setattr(
+        simpoint, "project_bbv",
+        lambda bbv, num_insts, dims, seed, _rows: project(
+            bbv, num_insts, dims, seed))
+    assert pick_simpoints(profile).as_dict() == selection
+
+
 def test_pick_simpoints_deterministic(micro_programs):
     prog = next(iter(micro_programs.values()))
     profile = profile_program(prog, 1000)
