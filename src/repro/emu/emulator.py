@@ -36,6 +36,24 @@ class EmulationResult:
         return self.regs[reg_num(name_or_num)]
 
 
+class BBVAccumulator:
+    """Basic-block-vector counts that :meth:`Emulator.run_until` keeps.
+
+    ``counts`` maps a basic block's leader pc to the instructions
+    executed under it, and ``leader`` is the block being executed. A new
+    basic block starts after every control instruction, taken or not;
+    capped superblocks and other instructions keep the leader. The
+    owner may swap ``counts`` for a fresh dict between runs (the BBV
+    profiler does so at every interval boundary).
+    """
+
+    __slots__ = ("counts", "leader")
+
+    def __init__(self, leader):
+        self.counts = {}
+        self.leader = leader
+
+
 def _sext32(value):
     value &= 0xFFFFFFFF
     if value & 0x80000000:
@@ -54,6 +72,7 @@ class Emulator:
         if init_regs:
             for idx, value in init_regs.items():
                 self.regs[idx] = to_unsigned(value)
+            self.regs[0] = 0   # x0 is hardwired: compiled blocks read 0
         self.regs[2] = sp  # stack pointer
         self.pc = program.entry
         self.inst_count = 0
@@ -79,7 +98,7 @@ class Emulator:
         self._block_dispatch = superblock and not self._slow
         self._sb_by_pc = None
         # Instructions fully retired by the current superblock before it
-        # raised (see the guard in repro.isa.superblock.compile_block).
+        # raised (see the fault handler in repro.isa.superblock).
         self._sb_progress = 0
 
     # ------------------------------------------------------------------
@@ -154,7 +173,7 @@ class Emulator:
         self.pc = next_pc
 
     # ------------------------------------------------------------------
-    def run_until(self, max_insts, on_block=None, trace=None):
+    def run_until(self, max_insts, bbv=None, trace=None):
         """Run until ``halt`` or the instruction budget is reached.
 
         The single budgeted runner behind :meth:`run`, :meth:`run_trace`
@@ -162,14 +181,9 @@ class Emulator:
         False when the budget ran out first (callers decide whether that
         is an error).
 
-        ``on_block(pc, n_insts, ends_branch)`` is called after every
-        executed block: ``pc`` is its first instruction, ``n_insts`` how
-        many instructions it retired, and ``ends_branch`` whether the
-        last of them was a control instruction (so ``self.pc`` starts a
-        new basic block). Per-instruction residue steps report
-        one-instruction blocks, so every dispatch mode yields the same
-        instruction stream; a block that raises reports the prefix it
-        retired before the exception propagates.
+        ``bbv`` (a :class:`BBVAccumulator`) counts every retired
+        instruction under its basic block's leader, in every dispatch
+        mode; a block that raises counts the prefix it retired.
 
         ``trace=(branches, mems)`` appends the checkpoint warmup records
         to two sinks (lists or deques): ``(pc, taken, target, flags)``
@@ -177,7 +191,7 @@ class Emulator:
         memory access, in program order.
         """
         if not self._block_dispatch:
-            return self._run_steps(max_insts, on_block, trace)
+            return self._run_steps(max_insts, bbv, trace)
         table = self._sb_by_pc
         if table is None:
             table = self._sb_by_pc = self.program.superblocks().by_pc
@@ -187,12 +201,16 @@ class Emulator:
         if trace is not None:
             branch_append = trace[0].append
             mem_append = trace[1].append
+        if bbv is not None:
+            counts = bbv.counts
+            leader = bbv.leader
         count = self.inst_count
         # Block-granular dispatch with the per-instruction state in
-        # locals; inst_count is committed back even when a block (or the
-        # bounds check) raises. Per-inst stepping covers the residue —
-        # pcs off the leader set (e.g. an indirect jump into a block's
-        # middle) and blocks that would overrun the budget.
+        # locals; inst_count (and the BBV leader) is committed back even
+        # when a block (or the bounds check) raises. Per-inst stepping
+        # covers the residue — pcs off the leader set (e.g. an indirect
+        # jump into a block's middle) and blocks that would overrun the
+        # budget.
         try:
             while not self.halted and count < max_insts:
                 pc = self.pc
@@ -211,12 +229,14 @@ class Emulator:
                         done = self._sb_progress
                         self._sb_progress = 0
                         count += done
-                        if on_block is not None and done:
-                            on_block(pc, done, False)
+                        if bbv is not None and done:
+                            counts[leader] = counts.get(leader, 0) + done
                         raise
                     count += blk.length
-                    if on_block is not None:
-                        on_block(pc, blk.length, blk.ends_branch)
+                    if bbv is not None:
+                        counts[leader] = counts.get(leader, 0) + blk.length
+                        if blk.ends_branch:
+                            leader = self.pc
                     continue
                 rec = get(pc)
                 if rec is None:
@@ -225,15 +245,19 @@ class Emulator:
                 count += 1
                 if trace is not None:
                     self._record(trace, pc, rec.inst)
-                if on_block is not None:
-                    on_block(pc, 1, rec.is_branch)
+                if bbv is not None:
+                    counts[leader] = counts.get(leader, 0) + 1
+                    if rec.is_branch:
+                        leader = self.pc
         finally:
             self.inst_count = count
+            if bbv is not None:
+                bbv.leader = leader
         return self.halted
 
-    def _run_steps(self, max_insts, on_block, trace):
+    def _run_steps(self, max_insts, bbv, trace):
         """Per-instruction :meth:`run_until` (closure path or slowpath)."""
-        if on_block is None and trace is None and not self._slow:
+        if bbv is None and trace is None and not self._slow:
             get = self._pd_by_pc.get
             regs = self.regs
             count = self.inst_count
@@ -254,8 +278,10 @@ class Emulator:
             inst = step()
             if trace is not None:
                 self._record(trace, pc, inst)
-            if on_block is not None:
-                on_block(pc, 1, inst.is_branch)
+            if bbv is not None:
+                bbv.counts[bbv.leader] = bbv.counts.get(bbv.leader, 0) + 1
+                if inst.is_branch:
+                    bbv.leader = self.pc
         return self.halted
 
     def _record(self, trace, pc, inst):

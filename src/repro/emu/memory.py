@@ -8,46 +8,37 @@ from repro.utils.bits import MASK64
 
 
 class SparseMemory:
-    """Word-granular sparse memory with 1/4/8-byte accessors."""
+    """Word-granular sparse memory with 1/4/8-byte accessors.
+
+    ``words`` maps aligned word addresses to unsigned 64-bit values and
+    is the only copy of memory (an absent word reads as zero), so code
+    may index it directly for a naturally aligned 8-byte access, as the
+    emulator's compiled blocks do, provided it stores only values
+    already masked to 64 bits. Every other access goes through
+    :meth:`read` and :meth:`write`, which check size and alignment.
+    """
 
     def __init__(self, image=None):
-        # aligned word address -> unsigned 64-bit value
-        self._words = {}
-        # Last-word cache: the common sequential access pattern (sub-word
-        # reads/writes of the word just touched, read-after-write) skips
-        # the word-dict hash. The cache always mirrors ``_words`` — every
-        # write refreshes it — so it can never serve a stale value.
-        self._last_addr = -1
-        self._last_word = 0
+        self.words = {}
         if image:
             for addr, value in image.items():
                 if addr % 8:
                     raise ValueError("image addresses must be 8-byte aligned")
-                self._words[addr] = value & MASK64
+                self.words[addr] = value & MASK64
 
     def copy(self):
         clone = SparseMemory()
-        clone._words = dict(self._words)
+        clone.words = dict(self.words)
         return clone
 
     # ------------------------------------------------------------------
     # Raw word access
     # ------------------------------------------------------------------
     def read_word(self, addr):
-        addr &= ~7
-        if addr == self._last_addr:
-            return self._last_word
-        value = self._words.get(addr, 0)
-        self._last_addr = addr
-        self._last_word = value
-        return value
+        return self.words.get(addr & ~7, 0)
 
     def write_word(self, addr, value):
-        addr &= ~7
-        value &= MASK64
-        self._words[addr] = value
-        self._last_addr = addr
-        self._last_word = value
+        self.words[addr & ~7] = value & MASK64
 
     # ------------------------------------------------------------------
     # Sized access (no alignment requirement across word boundaries is
@@ -98,7 +89,7 @@ class SparseMemory:
     # ------------------------------------------------------------------
     def nonzero_words(self):
         """Mapping of word address -> value for all nonzero words."""
-        return {a: v for a, v in self._words.items() if v}
+        return {a: v for a, v in self.words.items() if v}
 
     def read_word_array(self, addr, count):
         """Read ``count`` consecutive 64-bit words starting at ``addr``."""

@@ -8,38 +8,47 @@ BBV profiler derives dynamically) and *generates Python source* for the
 whole region, compiled once per static block, so the emulator's fast
 path becomes one dict lookup + one call per **block**.
 
-Code generation mirrors the per-instruction semantic closures exactly:
+The generated code is register-allocated and bit-identical to the
+per-instruction semantic closures:
 
-* constants (register numbers, converted immediates, fall-through pcs,
-  masks) are inlined as literals; non-literal constants (ALU/branch
-  functions for the rare ops without an inline template, the block's pc
-  tuple, ``sext32``) are bound as default arguments — the same
-  "fastest CPython name lookup" trick predecode uses;
+* every register the block reads is a local, loaded once at entry, and
+  ``x0`` is the literal 0; written registers go back to ``regs`` once
+  per exit. Identity operations (``rs + 0``, ``x0 + imm``) compile to
+  plain copies and constants;
+* constants (converted immediates, fall-through pcs, masks) are inlined
+  as literals; the ALU/branch functions of the rare ops without an
+  inline template, the block's pc tuple and ``sext32`` are bound as
+  default arguments — the same "fastest CPython name lookup" trick
+  predecode uses;
 * common ALU/branch ops are emitted as inline expressions
   (``(a + b) & MASK64`` instead of a ``wrap64`` call); signed compares
   use the sign-flip trick (``(a ^ 2**63) < (b ^ 2**63)`` orders
   unsigned representations exactly like ``to_signed`` compares);
-* every observer field (``last_branch_taken``, ``last_mem_addr``,
-  ``last_mem_size``) is updated in program order, so a block-mode run
-  is unobservable next to the closure path;
-* blocks containing memory operations carry an exactness guard: a
-  progress marker is stored before every potentially-raising access
-  (misaligned loads/stores raise ``ValueError``), and a re-raising
-  ``except`` handler publishes the raising instruction's pc and the
-  count of instructions fully executed, so ``Emulator.run_until``
-  commits an *exact* ``inst_count`` even when a block body raises
-  mid-block. Blocks without memory operations cannot raise
-  synchronously and skip the guard entirely. (Asynchronous exceptions
-  — e.g. KeyboardInterrupt — resolve to the last marker, a
-  conservative count; the per-instruction paths have the analogous
-  ambiguity inside a closure.)
+* a naturally aligned 8-byte load or store indexes the memory's word
+  dict (``SparseMemory.words``) directly. A misaligned one calls
+  ``SparseMemory.read``/``write``, which raise the per-instruction
+  path's ``ValueError``; sub-word accesses always call them;
+* the observer fields (``last_mem_addr``, ``last_mem_size``,
+  ``last_branch_taken``) are written once per exit, with what the
+  block's last access and closing branch left: per-instruction
+  execution leaves the same values after the block;
+* blocks containing memory operations carry an exactness guard: the
+  path that may raise stores the raising instruction's index in ``n``,
+  and a re-raising ``except`` handler writes the registers back,
+  restores the observer fields of the last access that completed and
+  publishes the raising instruction's pc and the count of instructions
+  fully executed, so ``Emulator.run_until`` commits an *exact* state
+  even when a block raises mid-block. Blocks without memory operations
+  cannot raise synchronously and skip the guard entirely. (An
+  asynchronous exception — e.g. KeyboardInterrupt — resolves to a
+  conservative count.)
 
-Every emulator pass dispatches through these blocks; observers see
-them through one block-granular protocol (``Emulator.run_until(...,
-on_block=...)``), and per-instruction stepping covers only the residue:
-block exits that land off the leader set (e.g. an indirect jump into
-the middle of a block), unknown PCs, a remaining instruction budget
-that cannot fit a whole block, and ``REPRO_SLOWPATH``.
+Every emulator pass dispatches through these blocks, and BBV profiling
+counts them inside the dispatch loop (``Emulator.run_until(...,
+bbv=...)``). Per-instruction stepping covers only the residue: block
+exits that land off the leader set (e.g. an indirect jump into the
+middle of a block), unknown PCs, a remaining instruction budget that
+cannot fit a whole block, and ``REPRO_SLOWPATH``.
 
 Each block also has a *traced* variant, compiled lazily the first time
 a run asks for a warmup trace: it appends the checkpoint warmup records
@@ -49,8 +58,8 @@ capture and ``Emulator.run_trace`` stay on block dispatch too.
 """
 
 from repro.isa.opcodes import Op
-from repro.isa.predecode import (KIND_BRANCH, KIND_HALT, KIND_LOAD,
-                                 KIND_NOP, KIND_STORE)
+from repro.isa.predecode import (KIND_BRANCH, KIND_DIV, KIND_HALT,
+                                 KIND_LOAD, KIND_NOP, KIND_STORE)
 from repro.utils.bits import MASK64, SIGN_BIT, sext32
 
 #: Static cap on instructions per generated block; a capped block chains
@@ -210,174 +219,231 @@ def _branch_expr(op, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Per-instruction statement emission. ``guarded`` marks blocks holding
-# memory operations: those set the progress marker ``n`` before each
-# access so the except handler can publish an exact instruction count.
-# ``traced`` appends the warmup records through ``_ba`` (branches) and
-# ``_ma`` (memory accesses).
+# Code generation. Registers live in locals (``r<n>``; ``x0`` is the
+# literal 0), so an operand costs a local load instead of a list index.
 # ---------------------------------------------------------------------------
-def _emit(rec, index, lines, binds, guarded, traced):
-    kind = rec.kind
-    if kind == KIND_NOP:
-        return
+#: ``a op 0 == a`` (shift amounts included) and ``0 op b == b``: such an
+#: instruction compiles to a plain copy.
+_RIGHT_IDENTITY = frozenset((Op.ADD, Op.ADDI, Op.SUB, Op.OR, Op.ORI,
+                             Op.XOR, Op.XORI, Op.SLL, Op.SLLI, Op.SRL,
+                             Op.SRLI, Op.SRA, Op.SRAI))
+_LEFT_IDENTITY = frozenset((Op.ADD, Op.OR, Op.XOR))
 
-    if kind == KIND_BRANCH:
-        if rec.is_cond_branch:
-            cond = _branch_expr(rec.op, "regs[%d]" % rec.src0,
-                                "regs[%d]" % rec.src1)
-            if cond is None:      # pragma: no cover - all ops templated
-                name = "_f%d" % index
-                binds[name] = rec.branch_fn
-                cond = "%s(regs[%d], regs[%d])" % (name, rec.src0,
-                                                   rec.src1)
-            lines.append("_tk = %s" % cond)
-            lines.append("emu.last_branch_taken = _tk")
-            if traced:
-                flags = trace_flags(rec.inst)
-                lines.append("if _tk:")
-                lines.append("    _ba((%d, 1, %d, %d))"
-                             % (rec.pc, rec.imm, flags))
-                lines.append("    return %d" % rec.imm)
-                lines.append("_ba((%d, 0, %d, %d))"
-                             % (rec.pc, rec.next_pc, flags))
-                lines.append("return %d" % rec.next_pc)
-                return
-            lines.append("return %d if _tk else %d" % (rec.imm,
-                                                       rec.next_pc))
-            return
-        if rec.op is Op.JAL:
-            if rec.writes_reg:
-                lines.append("regs[%d] = %d" % (rec.dest, rec.next_pc))
-            lines.append("emu.last_branch_taken = True")
-            if traced:
-                lines.append("_ba((%d, 1, %d, %d))"
-                             % (rec.pc, rec.imm, trace_flags(rec.inst)))
-            lines.append("return %d" % rec.imm)
-            return
-        # jalr: target computed before the link write (so
-        # ``jalr ra, ra`` stays correct), exactly like the closure.
-        lines.append("_tg = (regs[%d] + %d) & %s"
-                     % (rec.src0, rec.imm, _MASK_EVEN))
-        if rec.writes_reg:
-            lines.append("regs[%d] = %d" % (rec.dest, rec.next_pc))
-        lines.append("emu.last_branch_taken = True")
-        if traced:
-            lines.append("_ba((%d, 1, _tg, %d))"
-                         % (rec.pc, trace_flags(rec.inst)))
-        lines.append("return _tg")
-        return
 
-    if kind == KIND_LOAD:
-        if guarded:
-            lines.append("n = %d" % index)
-        lines.append("_a = (regs[%d] + %d) & %s"
-                     % (rec.src0, rec.imm, _MASK))
-        # The access always happens (alignment checks fire even for an
-        # x0 destination); only the writeback is gated.
-        if rec.writes_reg:
-            if rec.is_lw:
-                binds["_sx"] = sext32
-                lines.append("regs[%d] = _sx(_rd(_a, 4))" % rec.dest)
-            else:
-                lines.append("regs[%d] = _rd(_a, %d)"
-                             % (rec.dest, rec.mem_size))
-        else:
-            lines.append("_rd(_a, %d)" % rec.mem_size)
-        lines.append("emu.last_mem_addr = _a")
-        lines.append("emu.last_mem_size = %d" % rec.mem_size)
-        if traced:
-            lines.append("_ma((_a, 0))")
-        return
+def _reg(num):
+    return "0" if num == 0 else "r%d" % num
 
-    if kind == KIND_STORE:
-        if guarded:
-            lines.append("n = %d" % index)
-        lines.append("_a = (regs[%d] + %d) & %s"
-                     % (rec.src1, rec.imm, _MASK))
-        lines.append("_wr(_a, regs[%d], %d)" % (rec.src0, rec.mem_size))
-        lines.append("emu.last_mem_addr = _a")
-        lines.append("emu.last_mem_size = %d" % rec.mem_size)
-        if traced:
-            lines.append("_ma((_a, 1))")
-        return
 
-    if kind == KIND_HALT:
-        lines.append("emu.halted = True")
-        lines.append("return %d" % rec.next_pc)
-        return
+def _offset(base, imm):
+    """``(base + imm) & MASK64`` (register values are already masked)."""
+    if imm == 0 and base != "0":
+        return base
+    return "(%s + %d) & %s" % (base, imm, _MASK)
 
-    # ALU / MUL / DIV: pure, so an x0 destination emits nothing.
-    if not rec.writes_reg:
-        return
+
+def _alu(rec, index, binds):
+    """Right-hand side of one register-writing ALU/MUL/DIV record."""
+    if rec.has_imm and not rec.num_srcs:      # lui
+        return "%d" % rec.imm_u
+    a = _reg(rec.src0)
     if rec.has_imm:
-        if not rec.num_srcs:      # lui materialises its immediate
-            lines.append("regs[%d] = %d" % (rec.dest, rec.imm_u))
-            return
-        a = "regs[%d]" % rec.src0
-        expr = _alu_expr(rec.op, a, "%d" % rec.imm_u, b_const=rec.imm_u)
-        if expr is None:
-            name = "_f%d" % index
-            binds[name] = rec.alu_fn
-            expr = "%s(%s, %d)" % (name, a, rec.imm_u)
+        b, b_const = "%d" % rec.imm_u, rec.imm_u
     else:
-        a = "regs[%d]" % rec.src0
-        b = "regs[%d]" % rec.src1
-        expr = _alu_expr(rec.op, a, b)
-        if expr is None:
-            name = "_f%d" % index
-            binds[name] = rec.alu_fn
-            expr = "%s(%s, %s)" % (name, a, b)
-    lines.append("regs[%d] = %s" % (rec.dest, expr))
+        b = _reg(rec.src1)
+        b_const = 0 if rec.src1 == 0 else None
+    op = rec.op
+    if a == "0" and b_const is not None:
+        # Both operands known: fold with the semantic function itself.
+        return "%d" % rec.alu_fn(0, b_const)
+    if b_const == 0 and op in _RIGHT_IDENTITY:
+        return a
+    if a == "0" and op in _LEFT_IDENTITY:
+        return b
+    expr = _alu_expr(op, a, b, b_const)
+    if expr is None:
+        name = "_f%d" % index
+        binds[name] = rec.alu_fn
+        expr = "%s(%s, %s)" % (name, a, b)
+    return expr
+
+
+def _codegen(records, traced=False):
+    """``(function, source)`` of one block (see :class:`Superblock`).
+
+    Every register the block reads is loaded into its local once, at
+    entry. So is every register first written at or after the first
+    memory access: a fault may come before that write, and the fault
+    handler writes back every written register. Written registers go
+    back to ``regs`` once, at the exit or in the handler.
+    Naturally aligned 8-byte accesses index ``SparseMemory.words``
+    directly; a misaligned one calls ``SparseMemory.read``/``write``,
+    which raises, and sub-word accesses always call them. The observer
+    fields are written once per exit: the last access's address and
+    size, and the closing branch's outcome.
+    """
+    loads, written = [], []
+    first_mem = None
+    for index, rec in enumerate(records):
+        if rec.kind in (KIND_LOAD, KIND_STORE):
+            if first_mem is None:
+                first_mem = index
+        elif rec.kind in (KIND_NOP, KIND_HALT) \
+                or (rec.kind <= KIND_DIV and not rec.writes_reg):
+            continue
+        for num in (rec.src0, rec.src1)[:rec.num_srcs]:
+            if num and num not in written and num not in loads:
+                loads.append(num)
+        if rec.writes_reg and rec.dest not in written:
+            if rec.dest not in loads and first_mem is not None:
+                # A fault at or after first_mem may precede this write.
+                loads.append(rec.dest)
+            written.append(rec.dest)
+
+    binds = {}
+    body = []
+    mem_ops = []              # (index, address local, size), in order
+    unguarded = 0             # body lines before the first access
+    entry = ["r%d = regs[%d]" % (num, num) for num in sorted(loads)]
+    if any(rec.kind in (KIND_LOAD, KIND_STORE) and rec.mem_size == 8
+           for rec in records):
+        entry.append("_w = emu.memory.words")
+    if any(rec.kind == KIND_LOAD and rec.mem_size != 8 for rec in records):
+        entry.append("_rd = emu.memory.read")
+    if any(rec.kind == KIND_STORE and rec.mem_size != 8 for rec in records):
+        entry.append("_wr = emu.memory.write")
+
+    for index, rec in enumerate(records[:-1] if records[-1].kind in (
+            KIND_BRANCH, KIND_HALT) else records):
+        kind = rec.kind
+        if kind == KIND_LOAD or kind == KIND_STORE:
+            if not mem_ops:
+                unguarded = len(body)
+            addr = "_a%d" % index
+            size = rec.mem_size
+            mem_ops.append((index, addr, size))
+            is_load = kind == KIND_LOAD
+            body.append("%s = %s" % (addr, _offset(
+                _reg(rec.src0 if is_load else rec.src1), rec.imm)))
+            if size == 8:
+                # The fallback call raises the misalignment error.
+                body.append("if %s & 7:" % addr)
+                body.append("    n = %d" % index)
+                if is_load:
+                    body.append("    emu.memory.read(%s, 8)" % addr)
+                    if rec.writes_reg:
+                        body.append("r%d = _w.get(%s, 0)"
+                                    % (rec.dest, addr))
+                else:
+                    body.append("    emu.memory.write(%s, %s, 8)"
+                                % (addr, _reg(rec.src0)))
+                    body.append("_w[%s] = %s" % (addr, _reg(rec.src0)))
+            else:
+                body.append("n = %d" % index)
+                if not is_load:
+                    body.append("_wr(%s, %s, %d)"
+                                % (addr, _reg(rec.src0), size))
+                elif not rec.writes_reg:
+                    # The access still happens: alignment checks fire.
+                    body.append("_rd(%s, %d)" % (addr, size))
+                elif rec.is_lw:
+                    binds["_sx"] = sext32
+                    body.append("r%d = _sx(_rd(%s, 4))" % (rec.dest, addr))
+                else:
+                    body.append("r%d = _rd(%s, %d)"
+                                % (rec.dest, addr, size))
+            if traced:
+                body.append("_ma((%s, %d))" % (addr, 0 if is_load else 1))
+        elif kind <= KIND_DIV and rec.writes_reg:
+            # ALU / MUL / DIV are pure: an x0 destination emits nothing.
+            body.append("r%d = %s" % (rec.dest, _alu(rec, index, binds)))
+
+    # The exit: the closing control instruction's own effects, then the
+    # write-back and the observer fields, then the successor pc.
+    last = records[-1]
+    taken = None
+    if last.kind == KIND_BRANCH:
+        if last.is_cond_branch:
+            cond = _branch_expr(last.op, _reg(last.src0), _reg(last.src1))
+            if cond is None:      # pragma: no cover - all ops templated
+                binds["_fb"] = last.branch_fn
+                cond = "_fb(%s, %s)" % (_reg(last.src0), _reg(last.src1))
+            body.append("_tk = %s" % cond)
+            taken = "_tk"
+        else:
+            if last.op is not Op.JAL:
+                # The target is read before the link write, so
+                # ``jalr ra, ra`` stays correct.
+                body.append("_tg = (%s + %d) & %s"
+                            % (_reg(last.src0), last.imm, _MASK_EVEN))
+            if last.writes_reg:
+                body.append("r%d = %d" % (last.dest, last.next_pc))
+            taken = "True"
+    elif last.kind == KIND_HALT:
+        body.append("emu.halted = True")
+    body += ["regs[%d] = r%d" % (num, num) for num in sorted(written)]
+    if mem_ops:
+        _index, addr, size = mem_ops[-1]
+        body.append("emu.last_mem_addr = %s" % addr)
+        body.append("emu.last_mem_size = %d" % size)
+    if taken is not None:
+        body.append("emu.last_branch_taken = %s" % taken)
+
+    if last.kind != KIND_BRANCH:
+        # Halt, or a capped (program-end) block: chain to the fall-through.
+        body.append("return %d" % last.next_pc)
+    elif not last.is_cond_branch:
+        target = "%d" % last.imm if last.op is Op.JAL else "_tg"
+        if traced:
+            body.append("_ba((%d, 1, %s, %d))"
+                        % (last.pc, target, trace_flags(last.inst)))
+        body.append("return %s" % target)
+    elif traced:
+        flags = trace_flags(last.inst)
+        body.append("if _tk:")
+        body.append("    _ba((%d, 1, %d, %d))" % (last.pc, last.imm, flags))
+        body.append("    return %d" % last.imm)
+        body.append("_ba((%d, 0, %d, %d))"
+                    % (last.pc, last.next_pc, flags))
+        body.append("return %d" % last.next_pc)
+    else:
+        body.append("return %d if _tk else %d" % (last.imm, last.next_pc))
+
+    if mem_ops:
+        # Only a memory access raises (a misaligned address). ``n`` is
+        # the raising instruction's index: everything before it retired,
+        # so publish its pc and that count, write the registers back and
+        # restore the observer fields of the last access that completed.
+        binds["_pcs"] = tuple(rec.pc for rec in records)
+        handler = ["regs[%d] = r%d" % (num, num) for num in sorted(written)]
+        keyword = "if"
+        for (index, _addr, _size), (_prev, addr, size) in zip(mem_ops[1:],
+                                                            mem_ops):
+            handler.append("%s n == %d:" % (keyword, index))
+            handler.append("    emu.last_mem_addr = %s" % addr)
+            handler.append("    emu.last_mem_size = %d" % size)
+            keyword = "elif"
+        handler += ["emu.pc = _pcs[n]", "emu._sb_progress = n", "raise"]
+        lines = entry + body[:unguarded] + ["n = 0", "try:"]
+        lines += ["    " + line for line in body[unguarded:]]
+        lines.append("except BaseException:")
+        lines += ["    " + line for line in handler]
+    else:
+        lines = entry + body
+
+    args = ["emu", "regs"] + (["_ba", "_ma"] if traced else []) \
+        + ["%s=%s" % (name, name) for name in sorted(binds)]
+    source = "def _block(%s):\n%s\n" % (
+        ", ".join(args), "\n".join("    " + line for line in lines))
+    namespace = dict(binds)
+    exec(compile(source, "<superblock %#x>" % records[0].pc, "exec"),
+         namespace)
+    return namespace["_block"], source
 
 
 def compile_block(records):
     """Compile one straight-line run of :class:`~repro.isa.predecode.
     PDInst` records into a :class:`Superblock`."""
     return Superblock(tuple(records), _codegen(records)[0])
-
-
-def _codegen(records, traced=False):
-    """``(function, source)`` of one block (see :class:`Superblock`)."""
-    has_load = any(rec.kind == KIND_LOAD for rec in records)
-    has_store = any(rec.kind == KIND_STORE for rec in records)
-    guarded = has_load or has_store
-
-    binds = {}
-    body = []
-    for index, rec in enumerate(records):
-        _emit(rec, index, body, binds, guarded, traced)
-    last = records[-1]
-    if last.kind not in (KIND_BRANCH, KIND_HALT):
-        # Capped (or program-end) block: chain into the fall-through.
-        body.append("return %d" % last.next_pc)
-
-    prologue = []
-    if has_load:
-        prologue.append("_rd = emu.memory.read")
-    if has_store:
-        prologue.append("_wr = emu.memory.write")
-
-    if guarded:
-        binds["_pcs"] = tuple(rec.pc for rec in records)
-        lines = ["    n = 0"]
-        lines += ["    " + line for line in prologue]
-        lines.append("    try:")
-        lines += ["        " + line for line in body]
-        lines.append("    except BaseException:")
-        lines.append("        emu.pc = _pcs[n]")
-        lines.append("        emu._sb_progress = n")
-        lines.append("        raise")
-    else:
-        lines = ["    " + line for line in prologue + body]
-
-    args = ["emu", "regs"] + (["_ba", "_ma"] if traced else []) \
-        + ["%s=%s" % (name, name) for name in sorted(binds)]
-    source = "def _block(%s):\n%s\n" % (", ".join(args),
-                                        "\n".join(lines))
-    namespace = dict(binds)
-    exec(compile(source, "<superblock %#x>" % records[0].pc, "exec"),
-         namespace)
-    return namespace["_block"], source
 
 
 # ---------------------------------------------------------------------------

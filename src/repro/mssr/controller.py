@@ -137,7 +137,9 @@ class MSSRController(ReuseScheme):
         num_insts = len(block.insts)
         if not num_insts:
             return
-        self._age_streams(num_insts)
+        wpb = self.wpb
+        if wpb.num_valid:
+            self._age_streams(num_insts)
 
         start = 0
         if self._lockstep is not None:
@@ -145,7 +147,7 @@ class MSSRController(ReuseScheme):
             if start is None:
                 return  # whole block consumed by the active lockstep
 
-        if self._lockstep is None and self.wpb.any_valid():
+        if self._lockstep is None and wpb.num_valid:
             self._try_reconverge(block, start)
 
     def _age_streams(self, num_insts):
@@ -308,7 +310,7 @@ class MSSRController(ReuseScheme):
         for preg in log_stream.reserved_pregs():
             self.core.free_reserved_preg(preg)
         log_stream.invalidate()
-        self.wpb.streams[idx].invalidate()
+        self.wpb.invalidate(idx)
         if idx in self._alloc_order:
             self._alloc_order.remove(idx)
         if self.bloom is not None and not self.log.any_valid():

@@ -99,6 +99,10 @@ class WrongPathBuffers:
         self.single_page = single_page
         self.streams = [WPBStream() for _ in range(num_streams)]
         self._write_ptr = 0
+        #: How many streams are valid. Fetch reads it once per block to
+        #: skip the per-stream scans, so every change of a stream's
+        #: ``valid`` goes through :meth:`allocate` or :meth:`invalidate`.
+        self.num_valid = 0
 
     def allocate(self, block_ranges, event_id, trigger_seq):
         """Fill the next stream (round robin); returns its index.
@@ -108,10 +112,18 @@ class WrongPathBuffers:
         """
         idx = self._write_ptr
         self._write_ptr = (self._write_ptr + 1) % self.num_streams
-        self.streams[idx].fill(block_ranges, event_id, trigger_seq,
-                               self.entries_per_stream,
-                               single_page=self.single_page)
+        stream = self.streams[idx]
+        was_valid = stream.valid
+        stream.fill(block_ranges, event_id, trigger_seq,
+                    self.entries_per_stream, single_page=self.single_page)
+        self.num_valid += stream.valid - was_valid
         return idx
+
+    def invalidate(self, idx):
+        """Invalidate stream ``idx``."""
+        stream = self.streams[idx]
+        self.num_valid -= stream.valid
+        stream.invalidate()
 
     def next_victim(self):
         """Stream index the next allocation will overwrite."""
@@ -138,9 +150,3 @@ class WrongPathBuffers:
         if best is None:
             return None
         return best[0], best[1], best[2]
-
-    def any_valid(self):
-        return any(s.valid for s in self.streams)
-
-    def valid_count(self):
-        return sum(1 for s in self.streams if s.valid)

@@ -222,10 +222,6 @@ class O3Core:
         """Current architectural register values via the RAT."""
         return self.state.arch_regs()
 
-    def free_preg(self, preg):
-        """Release a physical register and notify the reuse scheme."""
-        self.state.free_preg(preg)
-
     def free_reserved_preg(self, preg):
         """Release a register previously reserved for a reuse scheme."""
         self.state.free_preg(preg)

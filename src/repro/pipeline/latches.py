@@ -196,10 +196,6 @@ class CoreState:
         if self.on_preg_freed is not None:
             self.on_preg_freed(preg)
 
-    def free_reserved_preg(self, preg):
-        """Release a register previously reserved for a reuse scheme."""
-        self.free_preg(preg)
-
     def arch_regs(self):
         """Current architectural register values via the RAT."""
         from repro.isa.registers import NUM_ARCH_REGS

@@ -16,7 +16,7 @@ pc -> instructions executed under that leader, which sums to the
 interval length by construction.
 """
 
-from repro.emu.emulator import Emulator
+from repro.emu.emulator import BBVAccumulator, Emulator
 
 #: Default interval length in committed instructions. The paper's
 #: SimPoint methodology uses 100M-instruction intervals on full SPEC
@@ -106,31 +106,20 @@ def profile_program(program, interval_insts=DEFAULT_INTERVAL,
         raise ValueError("interval_insts must be positive, got %r"
                          % (interval_insts,))
     emu = Emulator(program)
+    acc = BBVAccumulator(program.entry)
     intervals = []
-    bbv = {}
-    leader = program.entry
-
-    def on_block(_pc, n_insts, ends_branch):
-        nonlocal leader
-        bbv[leader] = bbv.get(leader, 0) + n_insts
-        if ends_branch:
-            # The next executed instruction (taken target or the
-            # fall-through) starts a new basic block either way. Capped
-            # blocks and non-branch residue steps keep the leader.
-            leader = emu.pc
-
     # One run per interval: no block straddles an interval boundary.
     start = 0
     while True:
         halted = emu.run_until(min(start + interval_insts, max_insts),
-                               on_block=on_block)
+                               bbv=acc)
         count = emu.inst_count - start
         if count < interval_insts:
             break
-        intervals.append(Interval(len(intervals), start, count, bbv))
+        intervals.append(Interval(len(intervals), start, count, acc.counts))
         start += count
         count = 0
-        bbv = {}
+        acc.counts = {}
         if halted or start >= max_insts:
             break
     if count:
@@ -140,9 +129,10 @@ def profile_program(program, interval_insts=DEFAULT_INTERVAL,
             # of its own and be dominated by pipeline-fill overhead
             # when simulated in isolation.
             last = intervals[-1]
-            for block, insts in bbv.items():
+            for block, insts in acc.counts.items():
                 last.bbv[block] = last.bbv.get(block, 0) + insts
             last.num_insts += count
         else:
-            intervals.append(Interval(len(intervals), start, count, bbv))
+            intervals.append(Interval(len(intervals), start, count,
+                                      acc.counts))
     return BBVProfile(interval_insts, intervals, emu.inst_count, halted)

@@ -80,7 +80,7 @@ class Checkpoint:
 
 
 def _snapshot(emu, image, branches, mems):
-    delta = {addr: value for addr, value in emu.memory._words.items()
+    delta = {addr: value for addr, value in emu.memory.words.items()
              if image.get(addr, 0) != value}
     return Checkpoint(emu.inst_count, emu.pc, emu.regs, delta,
                       list(branches), list(mems))

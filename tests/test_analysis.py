@@ -7,6 +7,7 @@ from repro.analysis import (
 from repro.analysis.experiments import speedup, distance_cdf, \
     multi_stream_fraction
 from repro.analysis.tables import pct
+from repro.harness import clear_memo
 import pytest
 
 
@@ -22,9 +23,16 @@ def test_config_for():
         config_for("quantum")
 
 
-def test_run_workload_caches():
-    a = run_workload("linear-mispred", "baseline", scale=0.05)
-    b = run_workload("linear-mispred", "baseline", scale=0.05)
+def test_run_workload_caches(tmp_path, monkeypatch):
+    # A private result cache and an empty memo: the test neither reads
+    # nor writes the user's cache, and leaves no memo entry behind.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    clear_memo()
+    try:
+        a = run_workload("linear-mispred", "baseline", scale=0.05)
+        b = run_workload("linear-mispred", "baseline", scale=0.05)
+    finally:
+        clear_memo()
     assert a is b
     assert a.committed_insts > 0
 

@@ -1,11 +1,12 @@
-"""Block-granular observation: the emulator's one observer protocol.
+"""Block-granular observation: BBV counts and warmup records.
 
-Every emulator pass dispatches through superblocks and reports to its
-observer per block (``run_until(on_block=...)``) or through inline
-warmup records (``run_until(trace=...)``). These tests pin that the
-observed stream, and everything the sampling passes derive from it
-(BBV profiles, SimPoint selections, checkpoints), is byte-identical to
-the ``REPRO_SLOWPATH=1`` per-instruction reference.
+Every emulator pass dispatches through superblocks. BBV profiling
+counts instructions per basic-block leader inside the dispatch loop
+(``run_until(bbv=...)``), and checkpoint capture appends warmup records
+inline (``run_until(trace=...)``). These tests pin that the counts, the
+records and everything the sampling passes derive from them (BBV
+profiles, SimPoint selections, checkpoints) are byte-identical to the
+``REPRO_SLOWPATH=1`` per-instruction reference.
 """
 
 import collections
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emu import Emulator
+from repro.emu.emulator import BBVAccumulator
 from repro.isa import Assembler
 from repro.isa.instruction import INST_BYTES
 from repro.isa.superblock import MAX_BLOCK_INSTS
@@ -21,6 +23,7 @@ from repro.sampling import capture_checkpoints, pick_simpoints, \
     profile_program
 from repro.workloads.registry import get_workload
 from tests.test_random_programs import _REGS, _assemble, _instruction
+from tests.test_superblock import _exact_state
 
 
 def _slowpath(fn, *args):
@@ -30,26 +33,27 @@ def _slowpath(fn, *args):
         return fn(*args)
 
 
-def _observe(prog, **kwargs):
-    """Run under ``on_block`` and ``trace`` until halt or a fault.
+def _observe(prog, interval=1_000_000, **kwargs):
+    """Run with a BBV accumulator and warmup sinks until halt or a fault,
+    closing a BBV interval every ``interval`` instructions.
 
-    Returns the block stream expanded per instruction (``[(pc,
-    ends_branch)]``), the warmup records and the emulator.
+    Returns the per-interval leader counts, the final leader, the warmup
+    records and the emulator's state (see ``_exact_state``).
     """
-    stream = []
-
-    def on_block(pc, n_insts, ends_branch):
-        stream.extend((pc + i * INST_BYTES, False)
-                      for i in range(n_insts - 1))
-        stream.append((pc + (n_insts - 1) * INST_BYTES, ends_branch))
-
+    acc = BBVAccumulator(prog.entry)
     trace = ([], [])
     emu = Emulator(prog, **kwargs)
+    intervals = []
     try:
-        emu.run_until(1_000_000, on_block=on_block, trace=trace)
+        while not emu.run_until(emu.inst_count + interval, bbv=acc,
+                                trace=trace) \
+                and emu.inst_count < 1_000_000:
+            intervals.append(acc.counts)
+            acc.counts = {}
     except ValueError:
         pass
-    return stream, trace, emu
+    intervals.append(acc.counts)
+    return intervals, acc.leader, trace, _exact_state(emu)
 
 
 def _profile(prog, interval):
@@ -146,11 +150,10 @@ def test_indirect_jump_into_block_middle():
     fast = _profile(prog, 4)
     assert fast == _slowpath(_profile, prog, 4)
     assert any("%d" % mid in iv["bbv"] for iv in fast["intervals"])
-    stream, trace, emu = _observe(prog)
-    slow_stream, slow_trace, slow_emu = _slowpath(_observe, prog)
-    assert (stream, trace) == (slow_stream, slow_trace)
-    assert emu.regs == slow_emu.regs
-    assert emu.result().reg("t0") == 3 * 1100
+    observed = _observe(prog, 4)
+    assert observed == _slowpath(_observe, prog, 4)
+    assert any(mid in counts for counts in observed[0])
+    assert observed[3][0][5] == 3 * 1100          # t0
 
 
 def test_checkpoint_boundary_inside_block():
@@ -190,29 +193,44 @@ def _faulting_prog():
 
 def test_block_fault_reports_exact_prefix():
     prog = _faulting_prog()
-    stream, trace, emu = _observe(prog)
-    slow_stream, slow_trace, slow_emu = _slowpath(_observe, prog)
-    closure_stream, closure_trace, _ = _observe(prog, superblock=False)
-    assert stream == slow_stream == closure_stream
-    assert trace == slow_trace == closure_trace
-    assert emu.inst_count == slow_emu.inst_count == len(stream) == 17
-    assert emu.pc == slow_emu.pc
-    assert prog.predecode().by_pc[emu.pc].is_load
-    assert emu._sb_progress == 0
+    fast = _observe(prog, 5)
+    assert fast == _slowpath(_observe, prog, 5) \
+        == _observe(prog, 5, superblock=False)
+    intervals, _leader, _trace, state = fast
+    regs, _mem, pc, inst_count, _halted, progress = state[:6]
+    assert inst_count == sum(sum(c.values()) for c in intervals) == 17
+    assert prog.predecode().by_pc[pc].is_load
+    assert progress == 0
+    assert regs[5] == 3 + 4                        # t0: the prefix retired
+    assert state[6:] == (prog.data.addr_of("buf"), 8, False)
     with pytest.raises(ValueError, match="misaligned"):
         profile_program(prog, 8)
 
 
 def test_run_until_budget_reports_partial_blocks():
     prog = _loop_prog(body=10, trips=5)
-    seen = []
-    emu = Emulator(prog)
-    for budget in (3, 4, 17, 60):
-        emu.run_until(budget, on_block=lambda *block: seen.append(block))
-        assert emu.inst_count == budget
-    assert sum(n for _pc, n, _br in seen) == 60
-    assert all(n == 1 for _pc, n, _br in seen[:4])
-    assert any(n == 12 for _pc, n, _br in seen)
+    loop = prog.label_pc("loop")
+    blocks = prog.superblocks().by_pc
+
+    def run(prog):
+        acc = BBVAccumulator(prog.entry)
+        emu = Emulator(prog)
+        trace = ([], [])
+        for budget in (3, 4, 17, 60):
+            emu.run_until(budget, bbv=acc, trace=trace)
+            assert emu.inst_count == budget
+            assert sum(acc.counts.values()) == budget
+            if budget == 4:
+                # The 13-instruction entry block never fit the budget,
+                # so the first four instructions ran as residue steps.
+                assert blocks[prog.entry].traced is None
+        return acc.counts, acc.leader, trace, _exact_state(emu)
+
+    fast = run(prog)
+    # A whole 12-instruction loop block ran in one call.
+    assert blocks[loop].traced is not None
+    assert fast == _slowpath(run, prog)
+    assert fast[:2] == ({prog.entry: 13, loop: 47}, loop)
 
 
 def test_warmup_deques_keep_newest_records():
@@ -230,7 +248,7 @@ def test_warmup_deques_keep_newest_records():
 # Random programs
 # ---------------------------------------------------------------------------
 def _observed(prog, interval):
-    return _observe(prog)[:2], _profile(prog, interval)
+    return _observe(prog, interval), _profile(prog, interval)
 
 
 @settings(max_examples=25, deadline=None)

@@ -81,13 +81,14 @@ def test_read_word_array():
 
 
 # ---------------------------------------------------------------------------
-# Last-word cache: the fast path for sequential access must never serve
-# a stale value, and cached state must never leak across copies.
+# Access patterns a last-word cache would get wrong (the memory keeps
+# none: ``words`` is its only copy): sequential sub-word reads,
+# read-modify-write, ping-pong between words, and copies.
 # ---------------------------------------------------------------------------
 def test_cache_sequential_subword_reads():
     mem = SparseMemory()
     mem.write(0x1000, 0x1122334455667788, 8)
-    # All of these hit the cached word; each slice must be correct.
+    # Each slice of the same word must be correct.
     assert mem.read(0x1000, 8) == 0x1122334455667788
     assert mem.read(0x1000, 4) == 0x55667788
     assert mem.read(0x1004, 4) == 0x11223344
@@ -97,8 +98,8 @@ def test_cache_sequential_subword_reads():
 
 
 def test_cache_cross_page_alternation():
-    """Ping-ponging between far-apart words (different pages) must
-    refill the cache each time, never cross-serve values."""
+    """Ping-ponging between far-apart words (different pages) never
+    cross-serves values."""
     mem = SparseMemory()
     a, b = 0x1000, 0x1000 + 64 * 1024  # 64 KiB apart
     mem.write(a, 0xAAAA, 8)
@@ -106,13 +107,13 @@ def test_cache_cross_page_alternation():
     for _ in range(3):
         assert mem.read(a, 8) == 0xAAAA
         assert mem.read(b, 8) == 0xBBBB
-        assert mem.read(a + 8, 8) == 0      # uncached, untouched word
+        assert mem.read(a + 8, 8) == 0      # untouched word
         assert mem.read(b, 4) == 0xBBBB
 
 
 def test_cache_coherent_after_partial_writes():
-    """Sub-word writes read-modify-write through the cache; a read of
-    the same word right after must see the merged value."""
+    """Sub-word writes read-modify-write the word; a read of the same
+    word right after must see the merged value."""
     mem = SparseMemory()
     mem.write(0x2000, 0xFFFFFFFFFFFFFFFF, 8)
     mem.write(0x2000, 0, 1)                  # clear lowest byte
@@ -125,9 +126,9 @@ def test_cache_coherent_after_partial_writes():
 def test_cache_does_not_leak_across_copies():
     mem = SparseMemory()
     mem.write(0x3000, 111, 8)
-    assert mem.read(0x3000, 8) == 111        # warm mem's cache
+    assert mem.read(0x3000, 8) == 111
     clone = mem.copy()
-    clone.write(0x3000, 222, 8)              # warm clone's cache
+    clone.write(0x3000, 222, 8)
     assert mem.read(0x3000, 8) == 111
     assert clone.read(0x3000, 8) == 222
     mem.write(0x3000, 333, 8)
@@ -135,13 +136,13 @@ def test_cache_does_not_leak_across_copies():
 
 
 def test_checkpoint_mem_delta_round_trip():
-    """nonzero_words -> image constructor round-trips with warm caches
-    on both sides (the checkpoint/restore path in the harness)."""
+    """nonzero_words -> image constructor round-trips (the
+    checkpoint/restore path in the harness)."""
     mem = SparseMemory()
     for i in range(8):
         mem.write(0x4000 + 8 * i, (i * 0x1111) & 0xFFFF, 8)
     mem.write(0x4000, 0, 8)                  # zeroed word drops out
-    assert mem.read(0x4000 + 8, 8) == 0x1111  # warm the cache
+    assert mem.read(0x4000 + 8, 8) == 0x1111
     delta = mem.nonzero_words()
     assert 0x4000 not in delta
     restored = SparseMemory(dict(delta))

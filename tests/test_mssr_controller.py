@@ -98,7 +98,7 @@ def test_squash_populates_wpb_and_log():
     controller, _core = _controller()
     pcs = [0x100 + 4 * i for i in range(6)]
     _squash(controller, pcs)
-    assert controller.wpb.valid_count() == 1
+    assert controller.wpb.num_valid == 1
     assert controller.log.streams[0].valid
     assert len(controller.log.streams[0].entries) == 6
     assert all(e.reserved for e in controller.log.streams[0].entries)
@@ -207,10 +207,10 @@ def test_overflow_triggers_reset_and_suspension():
     assert core.stats.rgid_resets == 1
     # New streams refused until a ROB's worth of commits.
     _squash(controller, [0x100, 0x104])
-    assert not controller.wpb.any_valid()
+    assert not controller.wpb.num_valid
     core.stats.committed_insts += core.config.rob_entries
     _squash(controller, [0x100, 0x104])
-    assert controller.wpb.any_valid()
+    assert controller.wpb.num_valid
 
 
 def test_replay_squash_only_ends_lockstep():
@@ -221,4 +221,4 @@ def test_replay_squash_only_ends_lockstep():
     controller.on_replay_squash(_trigger(123))
     assert controller._lockstep is None
     # Stream itself survives a replay (it wasn't the diverging path).
-    assert controller.wpb.any_valid()
+    assert controller.wpb.num_valid

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.emu import Emulator
+from repro.emu.emulator import BBVAccumulator
 from repro.harness import SimJob, execute, run_batch
 from repro.harness.cli import main as cli_main
 from repro.harness.jobs import JobTimeout, _WallClock, build_config
@@ -637,10 +638,10 @@ def test_run_until_stops_at_budget(micro_programs):
     emu = Emulator(prog)
     halted = emu.run_until(123)
     assert not halted and emu.inst_count == 123
-    seen = []
-    emu.run_until(125, on_block=lambda pc, n, _br: seen.append((pc, n)))
+    acc = BBVAccumulator(emu.pc)
+    emu.run_until(125, bbv=acc)
     assert emu.inst_count == 125
-    assert sum(n for _pc, n in seen) == 2
+    assert sum(acc.counts.values()) == 2
 
 
 def test_workload_scale_validation():

@@ -17,6 +17,7 @@ from repro.isa.instruction import INST_BYTES
 from repro.isa.predecode import KIND_BRANCH, KIND_HALT
 from repro.isa.superblock import (MAX_BLOCK_INSTS, build_superblocks,
                                   discover_leaders)
+from repro.utils.bits import MASK64
 from tests.test_random_programs import _REGS, _assemble, _instruction
 
 BUDGET = 100_000
@@ -253,6 +254,175 @@ def test_superblock_resume_after_midblock_raise():
         assert emu.run_until(BUDGET)
         results.append(_state(emu.result()))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# Register locals, identity folds and inline 8-byte access
+# ---------------------------------------------------------------------------
+def _exact_state(emu):
+    """Every field a faulting block must leave as per-inst stepping does."""
+    return (list(emu.regs), emu.memory.nonzero_words(), emu.pc,
+            emu.inst_count, emu.halted, emu._sb_progress,
+            emu.last_mem_addr, emu.last_mem_size, emu.last_branch_taken)
+
+
+_BLOCK_REGS = ["zero", "t0", "t1", "t2", "a4"]
+_block_reg = st.sampled_from(_BLOCK_REGS)
+_slot_offset = st.integers(min_value=0, max_value=15).map(lambda s: 8 * s)
+_straight_inst = st.one_of(
+    st.tuples(st.just("rr"),
+              st.sampled_from([Op.ADD, Op.SUB, Op.XOR, Op.AND, Op.OR,
+                               Op.MUL, Op.SLT, Op.SLTU, Op.SLL, Op.SRL,
+                               Op.SRA, Op.MIN, Op.DIV]),
+              _block_reg, _block_reg, _block_reg),
+    st.tuples(st.just("ri"),
+              st.sampled_from([Op.ADDI, Op.XORI, Op.ORI, Op.ANDI, Op.SLTI,
+                               Op.SLTIU, Op.SLLI, Op.SRLI, Op.SRAI]),
+              _block_reg, _block_reg,
+              st.one_of(st.just(0), st.integers(-512, 511))),
+    st.tuples(st.just("ri"), st.just(Op.ADDI), _block_reg, _block_reg,
+              st.just(0)),                                  # mv
+    st.tuples(st.just("load"), st.just(Op.LD), _block_reg, _slot_offset),
+    st.tuples(st.just("store"), st.just(Op.SD), _block_reg, _slot_offset),
+)
+#: The one access that leaves the inline path: a misaligned 8-byte
+#: access (it raises) or a sub-word one (a misaligned ``lw``/``sw``
+#: raises too), as ``(kind, size, register, byte offset)``.
+_odd_access = st.one_of(
+    st.tuples(st.sampled_from(["load", "store"]), st.just(8), _block_reg,
+              st.tuples(_slot_offset, st.integers(1, 7)).map(sum)),
+    st.tuples(st.sampled_from(["load", "store"]), st.sampled_from([4, 1]),
+              _block_reg, st.integers(min_value=0, max_value=127)),
+)
+_SIZED_OPS = {("load", 8): Op.LD, ("load", 4): Op.LW, ("load", 1): Op.LBU,
+              ("store", 8): Op.SD, ("store", 4): Op.SW, ("store", 1): Op.SB}
+
+
+def _straight_block(body, odd, position, seeds, branch):
+    """One straight-line block: seeded registers, ``body`` with ``odd``
+    spliced in at ``position``, then a conditional exit (``branch``) or
+    ``halt``."""
+    asm = Assembler()
+    buf = asm.word_array("buf", [(0x0101010101010101 * (i + 1)) & MASK64
+                                 for i in range(16)])
+    asm.li("s0", buf)
+    for reg, seed in zip(_BLOCK_REGS[1:], seeds):
+        asm.li(reg, seed)
+    kind, size, reg, offset = odd
+    odd = (kind, _SIZED_OPS[kind, size], reg, offset)
+    insts = list(body)
+    insts.insert(position % (len(insts) + 1), odd)
+    for inst in insts:
+        if inst[0] == "rr":
+            asm.rr(*inst[1:])
+        elif inst[0] == "ri":
+            _k, op, dest, src, imm = inst
+            if op in (Op.SLLI, Op.SRLI, Op.SRAI):
+                imm = abs(imm) % 64
+            asm.ri(op, dest, src, imm)
+        elif inst[0] == "load":
+            asm.load(inst[1], inst[2], "s0", inst[3])
+        else:
+            asm.store(inst[1], inst[2], "s0", inst[3])
+    if branch:
+        asm.branch(Op.BLT, "t0", "t1", "end")
+        asm.label("end")
+    asm.halt()
+    return asm.finish()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_straight_inst, max_size=30), _odd_access,
+       st.integers(min_value=0, max_value=30),
+       st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                min_size=4, max_size=4),
+       st.booleans())
+def test_register_local_blocks_match_closure(body, odd, position, seeds,
+                                             branch):
+    """Block mode, traced and untraced, leaves exactly the closure
+    path's state, whether or not the odd access faults mid-block."""
+    prog = _straight_block(body, odd, position, seeds, branch)
+    outcomes = []
+    for traced in (False, True):
+        for kwargs in ({"superblock": False}, {}):
+            emu = Emulator(prog, **kwargs)
+            trace = ([], []) if traced else None
+            try:
+                emu.run_until(BUDGET, trace=trace)
+                error = None
+            except ValueError as exc:
+                error = str(exc)
+            outcomes.append((error, _exact_state(emu), trace))
+    assert prog.superblocks().by_pc[prog.entry].traced is not None
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[2] == outcomes[3]
+    assert outcomes[0][:2] == outcomes[2][:2]
+
+
+def test_read_word_after_inline_and_subword_stores():
+    """Inline 8-byte stores and sub-word stores through
+    ``SparseMemory.write`` interleave on one word; every later read,
+    inline or through ``read_word``, sees the latest bytes."""
+    asm = Assembler()
+    buf = asm.word_array("buf", [0x1111111111111111])
+    asm.li("s0", buf)
+    asm.li("t0", 0x8877665544332211)
+    asm.sd("t0", "s0", 0)              # inline
+    asm.li("t1", 0xAB)
+    asm.sb("t1", "s0", 3)              # read-modify-write of that word
+    asm.ld("t2", "s0", 0)              # inline read of the merged word
+    asm.li("t1", 0xCAFEF00D)
+    asm.sw("t1", "s0", 4)
+    asm.sd("t2", "s0", 8)              # inline, another word
+    asm.lw("a4", "s0", 4)
+    asm.halt()
+    prog = asm.finish()
+    emu = Emulator(prog)
+    emu.run(BUDGET)
+    base = Emulator(prog, superblock=False)
+    base.run(BUDGET)
+    assert _exact_state(emu) == _exact_state(base)
+    assert emu.memory.read_word(buf) == 0xCAFEF00DAB332211
+    assert emu.memory.read_word(buf + 8) == 0x88776655AB332211 \
+        == emu.regs[7]                 # t2
+    assert emu.regs[14] == 0xFFFFFFFFCAFEF00D   # a4: lw sign-extends
+
+
+def test_x0_stays_zero_with_initial_registers(monkeypatch):
+    """Blocks compile ``x0`` to the literal 0, so an initial value for it
+    is dropped and every dispatch mode computes with 0."""
+    asm = Assembler()
+    asm.addi("t0", "zero", 1)
+    asm.add("t1", "zero", "t0")
+    asm.halt()
+    prog = asm.finish()
+    init = {0: 5, 5: 7}
+    states = [Emulator(prog, init_regs=init, **kwargs).run(BUDGET).regs
+              for kwargs in ({}, {"superblock": False})]
+    monkeypatch.setenv("REPRO_SLOWPATH", "1")
+    states.append(Emulator(prog, init_regs=init).run(BUDGET).regs)
+    assert states[0] == states[1] == states[2]
+    assert states[0][:1] + states[0][5:7] == [0, 1, 1]
+
+
+def test_generated_source_folds_identities():
+    """Registers are locals and identity operations compile to copies
+    and constants: no ``+ 0`` and no ``regs[...]`` inside the body."""
+    asm = Assembler()
+    asm.li("t0", 33)                   # addi t0, x0, 33
+    asm.mv("t1", "t0")                 # addi t1, t0, 0
+    asm.rr(Op.ADD, "t2", "zero", "t1")
+    asm.rr(Op.OR, "a4", "t2", "zero")
+    asm.ri(Op.SLLI, "a5", "a4", 0)
+    asm.halt()
+    prog = asm.finish()
+    source = prog.superblocks().by_pc[prog.entry].source
+    body = [line.strip() for line in source.splitlines()[1:]]
+    assert body == ["r5 = 33", "r6 = r5", "r7 = r6", "r14 = r7",
+                    "r15 = r14", "emu.halted = True", "regs[5] = r5",
+                    "regs[6] = r6", "regs[7] = r7", "regs[14] = r14",
+                    "regs[15] = r15", "return %d" % (prog.entry + 24)]
+    _run_pair(prog)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,25 @@ def test_exclude_streams():
     assert idx == older
 
 
+@given(st.lists(st.one_of(
+    st.tuples(st.just("fill"), st.lists(
+        st.tuples(st.integers(0, 0x3000), st.integers(0, 8)), max_size=3)),
+    st.tuples(st.just("invalidate"), st.integers(0, 2))), max_size=20))
+def test_valid_count_tracks_streams(ops):
+    """``num_valid`` equals a recount after every fill (empty and
+    cross-page fills leave a stream invalid) and every invalidation
+    (of a valid or an invalid stream)."""
+    wpb = WrongPathBuffers(num_streams=3, entries_per_stream=2,
+                           single_page=True)
+    for event, (kind, arg) in enumerate(ops):
+        if kind == "fill":
+            wpb.allocate([(start, start + 4 * length)
+                          for start, length in arg], event, event)
+        else:
+            wpb.invalidate(arg)
+        assert wpb.num_valid == sum(s.valid for s in wpb.streams)
+
+
 @given(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 10)),
                 min_size=1, max_size=8),
        st.integers(0, 220), st.integers(0, 10))
