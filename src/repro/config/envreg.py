@@ -96,8 +96,8 @@ REGISTRY = _declare(
            "Logging level for the repro.* hierarchy (DEBUG, INFO, "
            "WARNING, ...).", key="harness.log_level"),
     EnvVar("REPRO_SLOWPATH", "bool", False,
-           "Use the pre-predecode interpretive execute paths "
-           "(differential-testing escape hatch).",
+           "Run the emulator's interpretive ISA oracle instead of its "
+           "predecoded and superblock paths (differential testing).",
            key="harness.slowpath"),
     EnvVar("REPRO_SHARED_IMAGES", "bool", True,
            "Batch runner groups same-(workload, scale) jobs into one "

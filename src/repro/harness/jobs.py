@@ -118,10 +118,6 @@ class SimJob:
             self.resolved_config()
 
     # ------------------------------------------------------------------
-    @property
-    def param_dict(self):
-        return dict(self.params)
-
     def overrides(self):
         """Merged dotted-key overrides: ``config`` plus the short
         scheme parameters mapped onto their tree keys."""

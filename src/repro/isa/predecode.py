@@ -63,9 +63,9 @@ KIND_NAMES = ("alu", "mul", "div", "branch", "load", "store", "nop",
 
 
 def slowpath_enabled():
-    """True when ``REPRO_SLOWPATH=1`` requests the pre-predecode
-    interpretive paths (differential-testing escape hatch). Read at
-    emulator/core construction time, so tests can toggle per instance."""
+    """True when ``REPRO_SLOWPATH=1`` selects the emulator's
+    interpretive ISA oracle (differential testing). Read at emulator
+    construction time, so tests can toggle per instance."""
     from repro.config import envreg
     return envreg.get("REPRO_SLOWPATH")
 

@@ -86,10 +86,6 @@ class Cache:
         self.last_victim_line = None
         self.last_victim_dirty = False
 
-    def _locate(self, addr):
-        line_addr = addr // self.line_bytes
-        return self.sets[line_addr % self.num_sets], line_addr
-
     def lookup(self, addr):
         """True on hit; updates LRU."""
         self._tick += 1

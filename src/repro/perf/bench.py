@@ -298,13 +298,22 @@ def profile_point(point, out_path, repeats=1):
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
-def _git_commit():
+def _git_commit(cwd=None):
+    """Short HEAD commit of the checkout holding ``cwd`` (default: this
+    module), with ``-dirty`` appended when tracked files differ from it,
+    as ``git describe --dirty`` marks it; ``"unknown"`` outside git."""
+    cwd = cwd or os.path.dirname(os.path.abspath(__file__))
+
+    def git(*args):
+        return subprocess.run(("git",) + args, capture_output=True,
+                              text=True, timeout=10, cwd=cwd,
+                              check=True).stdout.strip()
+
     try:
-        return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            check=True).stdout.strip()
+        commit = git("rev-parse", "--short", "HEAD")
+        if git("status", "--porcelain", "--untracked-files=no"):
+            commit += "-dirty"
+        return commit
     except Exception:
         return "unknown"
 

@@ -39,7 +39,7 @@ from repro.pipeline.latches import (CompletionQueue, CoreState, DecodeQueue,
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.regfile import PhysRegFile
 from repro.pipeline.rename import RenameTable
-from repro.pipeline.scheduler import IssueQueue, FunctionUnits
+from repro.pipeline.scheduler import IssueQueue
 from repro.pipeline.stages import (CommitStage, ExecuteStage, FetchStage,
                                    RenameDispatchStage, SquashUnit,
                                    WritebackStage)
@@ -124,8 +124,7 @@ class O3Core:
 
         track_rgids = getattr(scheme, "needs_rgids", False)
         rgid_bits = cfg.mssr.rgid_bits if cfg.mssr else 6
-        state.rat = RenameTable(state.regfile, rgid_bits=rgid_bits,
-                                track_rgids=track_rgids)
+        state.rat = RenameTable(rgid_bits=rgid_bits, track_rgids=track_rgids)
         # Initialise the stack pointer.
         state.regfile.set_value(state.rat.lookup(2), STACK_TOP)
 
@@ -147,7 +146,6 @@ class O3Core:
         state.int_iq = IssueQueue("int", cfg.int_iq_entries)
         state.mem_iq = IssueQueue("mem", cfg.mem_iq_entries)
         state.iqs = (state.int_iq, state.mem_iq)
-        state.fus = FunctionUnits(cfg)
         state.lsq = LoadStoreQueue(state.memory, cfg.lq_entries,
                                    cfg.sq_entries)
 
@@ -173,7 +171,6 @@ class O3Core:
         self.fetch = state.fetch
         self.int_iq = state.int_iq
         self.mem_iq = state.mem_iq
-        self.fus = state.fus
         self.lsq = state.lsq
         self.rob = state.rob
         self.decode_queue = state.decode_queue

@@ -123,27 +123,17 @@ class DecodeQueue:
 
 
 class CompletionQueue:
-    """Execute → writeback latch: completion events by visible cycle."""
+    """Execute → writeback latch: completion events by visible cycle.
+
+    ``by_cycle`` maps a cycle to the instructions whose results become
+    visible then; execute appends to it and writeback pops the current
+    cycle's list.
+    """
 
     __slots__ = ("by_cycle",)
 
     def __init__(self):
         self.by_cycle = {}
-
-    def schedule(self, when, dyn):
-        """Deliver ``dyn`` to writeback at cycle ``when``."""
-        pending = self.by_cycle.get(when)
-        if pending is None:
-            self.by_cycle[when] = [dyn]
-        else:
-            pending.append(dyn)
-
-    def pop(self, cycle):
-        """Completions due this cycle (None if quiet)."""
-        return self.by_cycle.pop(cycle, None)
-
-    def __bool__(self):
-        return bool(self.by_cycle)
 
 
 class CoreState:
@@ -165,7 +155,7 @@ class CoreState:
         # frontend
         "program", "predictor", "btb", "ras", "fetch",
         # backend structures
-        "int_iq", "mem_iq", "iqs", "fus",
+        "int_iq", "mem_iq", "iqs",
         # latches
         "decode_queue", "completions", "squash_arbiter",
         # reuse scheme and its resolved optional hooks (None when the

@@ -14,7 +14,13 @@ def _overlap(addr_a, size_a, addr_b, size_b):
 
 
 class LoadStoreQueue:
-    """Combined LQ/SQ keyed by instruction age (seq)."""
+    """Combined LQ/SQ keyed by instruction age (seq).
+
+    Rename/dispatch enters each load and store in program order, so both
+    dicts' insertion order is seq order; commit and squash remove
+    entries. The queue owns the searches: forwarding, the
+    store-to-load violation check and store retirement.
+    """
 
     def __init__(self, memory, lq_entries=96, sq_entries=96):
         self.memory = memory           # committed architectural memory
@@ -22,16 +28,6 @@ class LoadStoreQueue:
         self.sq_entries = sq_entries
         self.loads = {}                # seq -> DynInst (allocated at dispatch)
         self.stores = {}               # seq -> DynInst
-
-    # ------------------------------------------------------------------
-    def allocate(self, dyn):
-        """Enter a load or store (the rename stage does this inline;
-        commit and squash remove entries from ``loads``/``stores``
-        directly)."""
-        if dyn.is_load:
-            self.loads[dyn.seq] = dyn
-        elif dyn.is_store:
-            self.stores[dyn.seq] = dyn
 
     # ------------------------------------------------------------------
     def speculative_read(self, addr, size, seq):

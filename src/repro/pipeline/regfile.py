@@ -3,9 +3,14 @@
 Squash reuse keeps squashed instructions' physical registers alive past
 the squash, so register lifetime bugs (leaks, double frees, reuse of a
 live register) are the main correctness hazard of the whole design. The
-free list therefore tracks every register's state and asserts on every
-transition; :meth:`check_conservation` is used by tests and can be run
-periodically in debug mode.
+file therefore tracks every register's ownership state. The stages make
+the transitions on ``states`` and ``free_list`` directly: rename takes a
+FREE register (IN_FLIGHT), commit promotes it (ARCH) and frees the
+previous mapping, the squash unit frees a squashed writer's register or
+keeps it for a reuse scheme (RESERVED), and a reusing rename adopts a
+RESERVED one (:meth:`PhysRegFile.mark_in_flight`). Every free checks
+for a double free. :meth:`check_conservation` and :meth:`count_states`
+are the checks tests run on a finished core.
 """
 
 FREE = 0
@@ -18,10 +23,8 @@ class PhysRegFile:
     """Values + readiness + ownership state for all physical registers.
 
     ``states`` (ownership per register) and ``free_list`` (a stack) are
-    public because the rename, commit and squash stages do
-    :meth:`allocate` and :meth:`free` inline on their per-instruction
-    paths, with the same checks; a change to either transition must be
-    made there too.
+    public because the rename, commit and squash stages make their
+    transitions on their per-instruction paths.
     """
 
     STATE_NAMES = {FREE: "free", IN_FLIGHT: "in-flight",
@@ -41,39 +44,18 @@ class PhysRegFile:
         self.free_list = list(range(num_arch_regs, num_regs))
 
     # ------------------------------------------------------------------
-    @property
-    def num_free(self):
-        return len(self.free_list)
-
-    def allocate(self):
-        """Take a register for a renaming instruction (None if exhausted)."""
-        if not self.free_list:
-            return None
-        preg = self.free_list.pop()
-        self.states[preg] = IN_FLIGHT
-        self.ready[preg] = False
-        return preg
-
     def free(self, preg):
-        """Return a register to the free list."""
+        """Return a register to the free list (a reuse scheme releasing
+        a RESERVED register)."""
         if self.states[preg] == FREE:
             raise AssertionError("double free of p%d" % preg)
         self.states[preg] = FREE
         self.ready[preg] = False
         self.free_list.append(preg)
 
-    # -- state transitions used by rename/commit/squash ------------------
-    def mark_arch(self, preg):
-        """In-flight register becomes architectural (writer committed)."""
-        self.states[preg] = ARCH
-
     def mark_in_flight(self, preg):
         """Reserved register is adopted by a reusing instruction."""
         self.states[preg] = IN_FLIGHT
-
-    def mark_reserved(self, preg):
-        """Squashed writer's register is retained by a reuse scheme."""
-        self.states[preg] = RESERVED
 
     def state_of(self, preg):
         return self.STATE_NAMES[self.states[preg]]
@@ -84,18 +66,21 @@ class PhysRegFile:
         self.ready[preg] = True
 
     def check_conservation(self):
-        """Every register is in exactly one state; free list consistent."""
-        free_set = set(self.free_list)
-        if len(free_set) != len(self.free_list):
+        """The free list has no duplicates and holds exactly the FREE
+        registers (every register is in exactly one state)."""
+        free_list = self.free_list
+        states = self.states
+        if len(set(free_list)) != len(free_list):
             raise AssertionError("duplicate entries in free list")
+        listed = list(map(states.__getitem__, free_list))
+        if listed.count(FREE) == len(free_list) == states.count(FREE):
+            return True
+        free_set = set(free_list)
         for preg in range(self.num_regs):
-            in_list = preg in free_set
-            is_free = self.states[preg] == FREE
-            if in_list != is_free:
+            if (preg in free_set) != (states[preg] == FREE):
                 raise AssertionError(
                     "p%d state %s but free-list membership %s"
-                    % (preg, self.state_of(preg), in_list))
-        return True
+                    % (preg, self.state_of(preg), preg in free_set))
 
     def count_states(self):
         counts = {name: 0 for name in self.STATE_NAMES.values()}

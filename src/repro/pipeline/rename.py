@@ -8,11 +8,15 @@ every rename. Two execution contexts observed the same value of register
 ``a`` iff their recorded RGIDs for ``a`` are equal — this is the entire
 reuse test.
 
-Recovery is rollback-based: each squashed instruction undoes its own
-mapping (the paper uses interval checkpoints + rollback; pure rollback is
-timing-equivalent in a functional model and always exact). The global
-RGID counters are deliberately *not* rolled back: they identify mappings
-on both correct and wrong paths (Section 3.1).
+The table is state; the stages own its transitions. Rename/dispatch
+maps a fresh destination and draws its RGID from the global counter
+(NULL once the epoch's ``rgid_limit`` values are used up); the squash
+unit recovers by rollback: each squashed instruction undoes its own
+mapping, youngest first (the paper uses interval checkpoints +
+rollback; pure rollback is timing-equivalent in a functional model and
+always exact). The global RGID counters are deliberately *not* rolled
+back: they identify mappings on both correct and wrong paths
+(Section 3.1).
 """
 
 from repro.isa.registers import NUM_ARCH_REGS
@@ -24,8 +28,7 @@ NULL_RGID = -1
 class RenameTable:
     """RAT + RGIDs + global RGID counters."""
 
-    def __init__(self, regfile, rgid_bits=6, track_rgids=True):
-        self.regfile = regfile
+    def __init__(self, rgid_bits=6, track_rgids=True):
         self.track_rgids = track_rgids
         self.rgid_limit = (1 << rgid_bits)
         self.map = list(range(NUM_ARCH_REGS))   # areg -> preg
@@ -43,46 +46,6 @@ class RenameTable:
     def lookup(self, areg):
         return self.map[areg]
 
-    def lookup_rgid(self, areg):
-        return self.rgid[areg]
-
-    def hardware_rgid(self, rgid):
-        """The 6-bit value the hardware would store for an RGID."""
-        if rgid == NULL_RGID:
-            return NULL_RGID
-        return rgid % self.rgid_limit
-
-    def next_rgid(self, areg):
-        """Draw a fresh RGID from the global counter (may return NULL)."""
-        value = self.global_rgid[areg] + 1
-        if value - self.epoch_base >= self.rgid_limit:
-            self.overflow_events += 1
-            return NULL_RGID
-        self.global_rgid[areg] = value
-        return value
-
-    def rename_dest(self, dyn):
-        """Allocate a new physical register + RGID for ``dyn``'s dest.
-
-        Returns False when no physical register is available (stall).
-        The DynInst records the old mapping for rollback. The rename
-        stage does this (and :meth:`next_rgid`) inline; keep them in
-        step.
-        """
-        preg = self.regfile.allocate()
-        if preg is None:
-            return False
-        areg = dyn.inst.dest
-        dyn.dest_areg = areg
-        dyn.old_preg = self.map[areg]
-        dyn.old_rgid = self.rgid[areg]
-        dyn.dest_preg = preg
-        self.map[areg] = preg
-        if self.track_rgids:
-            dyn.dest_rgid = self.next_rgid(areg)
-            self.rgid[areg] = dyn.dest_rgid
-        return True
-
     def apply_reuse(self, dyn, reuse_preg, reuse_rgid):
         """Point ``dyn``'s dest at a reused physical register.
 
@@ -98,14 +61,6 @@ class RenameTable:
         self.map[areg] = reuse_preg
         self.rgid[areg] = reuse_rgid
 
-    def rollback(self, dyn):
-        """Undo one instruction's mapping (called youngest-first; the
-        squash unit does this inline for its whole squashed suffix)."""
-        if dyn.dest_areg is None:
-            return
-        self.map[dyn.dest_areg] = dyn.old_preg
-        self.rgid[dyn.dest_areg] = dyn.old_rgid
-
     # ------------------------------------------------------------------
     def reset_rgids(self):
         """Global RGID reset (Section 3.3.2): start a fresh epoch.
@@ -120,7 +75,3 @@ class RenameTable:
         self.epoch_base += self.rgid_limit
         self.global_rgid = [self.epoch_base] * NUM_ARCH_REGS
         self.overflow_events = 0
-
-    def snapshot(self):
-        """(map, rgid) copy — used by tests only."""
-        return list(self.map), list(self.rgid)

@@ -13,10 +13,9 @@ class CommitStage:
     retirement until their re-execution has actually run
     (``verify_load and not executed``).
 
-    An instruction retires in one frame: the register promotion and
-    :meth:`PhysRegFile.free <repro.pipeline.regfile.PhysRegFile.free>`
-    (with its double-free check) are inline, and only loads and stores
-    touch the LSQ.
+    An instruction retires in one frame: it promotes its register and
+    frees the previous mapping (with the double-free check), and only
+    loads and stores touch the LSQ.
     """
 
     __slots__ = ("state", "width", "rob", "lsq", "obs", "regfile",

@@ -1,41 +1,31 @@
 """Execute stage: issue-queue selection and functional execution.
 
-Wraps the scheduler (issue queues + function units) and the LSQ's
-speculative datapath. Completions are scheduled into the
+Selects ready instructions from the issue queues, claims the
+function-unit ports (ALU / BRU / LSU per cycle, plus the unpipelined
+divider, whose busy horizon the stage keeps) and executes each issued
+instruction through its predecoded record and the LSQ's speculative
+datapath. Completions are scheduled into the
 :class:`~repro.pipeline.latches.CompletionQueue` latch at
 ``cycle + latency``; the writeback stage picks them up.
-
-``REPRO_SLOWPATH=1`` swaps in the original interpretive execute path,
-kept verbatim as the differential-testing reference for the predecoded
-fast path.
 """
 
 from operator import attrgetter
 
-from repro.isa.instruction import INST_BYTES
-from repro.isa.opcodes import Op, OpClass
+from repro.isa.opcodes import Op
 from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
-                                 KIND_LOAD, KIND_MUL, KIND_NOP, KIND_STORE,
-                                 slowpath_enabled)
-from repro.utils.bits import MASK64, sext32, to_unsigned, wrap64
+                                 KIND_LOAD, KIND_MUL, KIND_NOP, KIND_STORE)
+from repro.utils.bits import MASK64, sext32
 
 _SEQ_KEY = attrgetter("seq")
-
-
-def _sext32(value):
-    value &= 0xFFFFFFFF
-    if value & 0x80000000:
-        value |= ~0xFFFFFFFF & MASK64
-    return value
 
 
 class ExecuteStage:
     """Select ready instructions from the issue queues and execute them."""
 
-    __slots__ = ("state", "width", "iqs", "int_iq", "mem_iq", "fus",
-                 "num_alu", "num_bru", "num_lsu", "div_latency", "regfile",
-                 "lsq", "hierarchy", "dport", "fwd_latency", "completions",
-                 "obs", "config", "kind_latency", "execute_inst")
+    __slots__ = ("state", "width", "iqs", "int_iq", "mem_iq",
+                 "num_alu", "num_bru", "num_lsu", "div_latency",
+                 "div_busy_until", "regfile", "lsq", "hierarchy", "dport",
+                 "fwd_latency", "completions", "obs", "kind_latency")
 
     def __init__(self, state):
         cfg = state.config
@@ -44,11 +34,12 @@ class ExecuteStage:
         self.iqs = state.iqs
         self.int_iq = state.int_iq
         self.mem_iq = state.mem_iq
-        self.fus = state.fus
         self.num_alu = cfg.num_alu
         self.num_bru = cfg.num_bru
         self.num_lsu = cfg.num_lsu
         self.div_latency = cfg.div_latency
+        # The unpipelined divider is busy until this cycle.
+        self.div_busy_until = 0
         self.regfile = state.regfile
         self.lsq = state.lsq
         self.hierarchy = state.hierarchy
@@ -60,41 +51,29 @@ class ExecuteStage:
         self.fwd_latency = cfg.mem.l1d_latency
         self.completions = state.completions
         self.obs = state.obs
-        self.config = cfg
         # Execute latency indexed by PDInst.kind (branch/load handlers
         # compute their own).
         self.kind_latency = (
             cfg.alu_latency, cfg.mul_latency, cfg.div_latency,
             cfg.branch_latency, 0, cfg.store_latency,
             cfg.alu_latency, cfg.alu_latency)
-        # Differential-testing escape hatch: dispatch execute through
-        # the original interpretive path. Kept unbound: a bound method
-        # stored on the stage would make every core cyclic garbage.
-        cls = type(self)
-        self.execute_inst = cls._execute_inst_slow if slowpath_enabled() \
-            else cls._execute_inst
 
     def tick(self):
         """Issue, oldest first per IQ, what this cycle's ports allow.
 
-        :meth:`IssueQueue.take_ready
-        <repro.pipeline.scheduler.IssueQueue.take_ready>` and
-        :meth:`FunctionUnits.try_take
-        <repro.pipeline.scheduler.FunctionUnits.try_take>` run inline,
-        the port use counted in locals; the unpipelined divider's busy
-        horizon lives on ``fus``. Each issued instruction then executes
-        in one call.
+        The port use is counted in locals; the unpipelined divider's
+        busy horizon is ``div_busy_until``. Each issued instruction then
+        executes in one call.
         """
         # Wake test: nothing is ready to issue.
-        if not self.int_iq._ready and not self.mem_iq._ready:
+        if not self.int_iq.ready and not self.mem_iq.ready:
             return
         cycle = self.state.cycle
-        execute = self.execute_inst
-        fus = self.fus
+        execute = self._execute_inst
         alu_used = bru_used = lsu_used = 0
         num_alu = self.num_alu
         for iq in self.iqs:
-            ready = iq._ready
+            ready = iq.ready
             if not ready:
                 continue
             # Squashed entries only exist in the cycles right after a
@@ -126,17 +105,17 @@ class ExecuteStage:
                 else:
                     # KIND_DIV: unpipelined divider sharing the ALU ports.
                     granted = alu_used < num_alu \
-                        and fus.div_busy_until <= cycle
+                        and self.div_busy_until <= cycle
                     if granted:
                         alu_used += 1
-                        fus.div_busy_until = cycle + self.div_latency
+                        self.div_busy_until = cycle + self.div_latency
                 if granted:
                     take -= 1
                     iq.size -= 1
-                    execute(self, dyn)
+                    execute(dyn)
                 else:
                     remaining.append(dyn)
-            iq._ready = remaining
+            iq.ready = remaining
 
     def _execute_inst(self, dyn):
         pd = dyn.pd
@@ -210,88 +189,6 @@ class ExecuteStage:
                                                      dyn.seq)
         if pd.is_lw:
             value = sext32(value)
-        if dyn.verify_load:
-            # Stash the re-read value for comparison at writeback.
-            dyn.store_data = value
-        else:
-            dyn.result = value
-        if forwarded:
-            return self.fwd_latency
-        if self.dport is not None:
-            cycle = dyn.issue_cycle
-            return 1 + self.dport.request(cycle, addr,
-                                          seq=dyn.seq) - cycle
-        return 1 + self.hierarchy.access(addr)
-
-    # ------------------------------------------------------------------
-    # Original interpretive execute (REPRO_SLOWPATH=1): kept verbatim as
-    # the differential-testing reference for the predecoded fast path.
-    # ------------------------------------------------------------------
-    def _execute_inst_slow(self, dyn):
-        inst = dyn.inst
-        info = inst.info
-        dyn.issued = True
-        cycle = self.state.cycle
-        dyn.issue_cycle = cycle
-        obs = self.obs
-        if obs.enabled:
-            obs.emit_issue(dyn)
-        values = self.regfile.values
-        srcs = [values[p] for p in dyn.srcs_preg]
-        latency = self.fus.latency_of(dyn)
-        op_class = info.op_class
-
-        if op_class is OpClass.BRANCH:
-            latency = self._execute_branch_slow(dyn, srcs)
-        elif op_class is OpClass.LOAD:
-            latency = self._execute_load_slow(dyn, srcs)
-        elif op_class is OpClass.STORE:
-            addr = wrap64(srcs[1] + inst.imm)
-            dyn.mem_addr = addr
-            dyn.mem_size = info.mem_size
-            dyn.store_data = srcs[0] & ((1 << (info.mem_size * 8)) - 1)
-            if self.dport is not None:
-                latency += self.dport.request(cycle, addr, is_write=True,
-                                              seq=dyn.seq) - cycle
-            else:
-                latency += self.hierarchy.access(addr, is_write=True)
-        else:
-            if info.has_imm:
-                a = srcs[0] if info.num_srcs else 0
-                dyn.result = info.alu_fn(a, to_unsigned(inst.imm)) \
-                    if info.alu_fn else to_unsigned(inst.imm)
-            else:
-                dyn.result = info.alu_fn(srcs[0], srcs[1])
-        self.completions.by_cycle.setdefault(cycle + latency,
-                                             []).append(dyn)
-
-    def _execute_branch_slow(self, dyn, srcs):
-        inst = dyn.inst
-        fallthrough = inst.pc + INST_BYTES
-        if inst.op is Op.JAL:
-            dyn.actual_npc = inst.imm
-            dyn.result = fallthrough
-        elif inst.op is Op.JALR:
-            dyn.actual_npc = wrap64(srcs[0] + inst.imm) & ~1
-            dyn.result = fallthrough
-        else:
-            taken = inst.info.branch_fn(srcs[0], srcs[1])
-            dyn.actual_npc = inst.imm if taken else fallthrough
-        return self.config.branch_latency
-
-    def _execute_load_slow(self, dyn, srcs):
-        inst = dyn.inst
-        info = inst.info
-        if dyn.verify_load:
-            addr = dyn.mem_addr  # logged by the reuse scheme
-        else:
-            addr = wrap64(srcs[0] + inst.imm)
-            dyn.mem_addr = addr
-            dyn.mem_size = info.mem_size
-        value, forwarded = self.lsq.speculative_read(addr, info.mem_size,
-                                                     dyn.seq)
-        if inst.op is Op.LW:
-            value = _sext32(value)
         if dyn.verify_load:
             # Stash the re-read value for comparison at writeback.
             dyn.store_data = value

@@ -6,13 +6,11 @@ before allocating a fresh destination, then inserts it into the ROB and
 the appropriate issue queue (or the LSQ for memory operations).
 
 The common path handles an instruction in one frame: the resource
-check, :meth:`RenameTable.rename_dest
-<repro.pipeline.rename.RenameTable.rename_dest>` with
-:meth:`PhysRegFile.allocate
-<repro.pipeline.regfile.PhysRegFile.allocate>`, the LSQ allocation and
-:meth:`IssueQueue.insert <repro.pipeline.scheduler.IssueQueue.insert>`
-are done inline, with the same safety checks. Only a successful reuse
-leaves the loop (:meth:`RenameDispatchStage._apply_reuse`).
+check, the destination mapping (a register off the free list and a
+fresh RGID from the RAT's global counter), the LSQ entry and the
+issue-queue insertion, with their safety checks (rename without a free
+register, IQ overflow). Only a successful reuse leaves the loop
+(:meth:`RenameDispatchStage._apply_reuse`).
 """
 
 from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
@@ -152,7 +150,8 @@ class RenameDispatchStage:
                     dyn.dest_preg = preg
                     rmap[areg] = preg
                     if track_rgids:
-                        # RenameTable.next_rgid, inline.
+                        # Draw a fresh RGID (NULL once the epoch's
+                        # values are used up).
                         rgid = rat.global_rgid[areg] + 1
                         if rgid - rat.epoch_base >= rat.rgid_limit:
                             rat.overflow_events += 1
@@ -200,11 +199,11 @@ class RenameDispatchStage:
             iq.size += 1
             if not_ready:
                 dyn.wait_count = len(not_ready)
-                waiting = iq._waiting
+                waiting = iq.waiting
                 for preg in not_ready:
                     waiting.setdefault(preg, []).append(dyn)
             else:
-                iq._ready.append(dyn)
+                iq.ready.append(dyn)
 
     def _apply_reuse(self, dyn, result):
         """Adopt a reuse decision. A value-style result arrives with the

@@ -9,10 +9,9 @@ redirecting fetch.
 
 The per-instruction work of a squash runs in two passes over the
 squashed ROB suffix, each in this frame: the ROB pop with the RAT
-rollback, and the register release (:meth:`PhysRegFile.free
-<repro.pipeline.regfile.PhysRegFile.free>` inline, with its double-free
-check) together with the LSQ removal of loads and stores and the IQ
-slot count.
+rollback, and the register release (with its double-free check)
+together with the LSQ removal of loads and stores and the IQ slot
+count.
 """
 
 from repro.isa.instruction import INST_BYTES

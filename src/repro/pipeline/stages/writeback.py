@@ -7,12 +7,9 @@ verification failure — is raised on the shared
 :class:`~repro.pipeline.latches.SquashArbiter`; this stage never applies
 recovery itself.
 
-An instruction completes in one frame: the register write
-(:meth:`PhysRegFile.set_value
-<repro.pipeline.regfile.PhysRegFile.set_value>`) and the wakeup
-(:meth:`IssueQueue.wakeup <repro.pipeline.scheduler.IssueQueue.wakeup>`)
-are inline, and an issue queue with no waiter on the register is not
-touched.
+An instruction completes in one frame: it writes its register and
+wakes the register's waiters in each issue queue (an issue queue with no
+waiter on the register is not touched).
 """
 
 
@@ -58,7 +55,7 @@ class WritebackStage:
                 values[preg] = dyn.result
                 ready[preg] = True
                 for iq in iqs:
-                    waiting = iq._waiting
+                    waiting = iq.waiting
                     if preg not in waiting:
                         continue
                     for waiter in waiting.pop(preg):
@@ -66,7 +63,7 @@ class WritebackStage:
                             continue
                         waiter.wait_count -= 1
                         if waiter.wait_count == 0:
-                            iq._ready.append(waiter)
+                            iq.ready.append(waiter)
 
             if dyn.is_branch:
                 if dyn.pred_npc != dyn.actual_npc:

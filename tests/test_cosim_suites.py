@@ -8,6 +8,11 @@ Setting ``REPRO_LOCKSTEP=1`` switches every cosimulation to the deep
 mode: the emulator is stepped commit-by-commit alongside the core
 (:func:`repro.obs.run_lockstep`), so a divergence is reported at the
 exact first wrong commit instead of as a final-state diff.
+
+Every run is on a :class:`~tests.invariants.CheckedCore` that checks
+the machine's structures at the start of every ``_STRIDE``-th cycle
+(``tests/test_invariants.py`` checks every cycle of one workload per
+configuration).
 """
 
 import pytest
@@ -15,8 +20,10 @@ import pytest
 from repro.config import envreg
 from repro.emu import Emulator
 from repro.obs import run_lockstep
-from repro.pipeline import O3Core, baseline_config, mssr_config, ri_config
+from repro.pipeline import baseline_config, mssr_config, ri_config
 from repro.workloads import get_workload
+
+from tests.invariants import checked
 
 _SCALE = 0.08
 
@@ -32,16 +39,21 @@ _MSSR_SET = ["nested-mispred", "linear-mispred", "bfs", "cc", "xz",
 _RI_SET = ["nested-mispred", "bfs", "xz", "gobmk", "mcf17"]
 
 
+#: Cycles between two invariant checks.
+_STRIDE = 128
+
+
 def _cosim(name, config):
     workload = get_workload(name)
     _mod, prog = workload.build(_SCALE)
+    core_factory = checked(every=_STRIDE)
     if _LOCKSTEP:
-        outcome = run_lockstep(prog, config)
+        outcome = run_lockstep(prog, config, core_factory=core_factory)
         assert outcome.ok, \
             "%s:\n%s" % (name, outcome.divergence.format())
         return outcome.result
     emu = Emulator(prog).run()
-    result = O3Core(prog, config).run()
+    result = core_factory(prog, config).run()
     assert result.regs == emu.regs, name
     assert result.memory == emu.memory, name
     return result

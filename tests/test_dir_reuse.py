@@ -6,6 +6,7 @@ from repro.pipeline import O3Core, baseline_config
 from repro.emu import Emulator
 
 from tests.conftest import run_both
+from tests.invariants import CheckedCore
 
 
 def branchy_kernel(arr, n):
@@ -38,10 +39,10 @@ def _build(kernel, n=150):
     return mod.build(kernel.__name__, [array_ref("arr"), n])
 
 
-def _core_with_dir(prog, **geometry):
-    return O3Core(prog, baseline_config(),
-                  reuse_scheme=DynamicInstructionReuse(
-                      DIRConfig(**geometry)))
+def _core_with_dir(prog, core_factory=O3Core, **geometry):
+    return core_factory(prog, baseline_config(),
+                        reuse_scheme=DynamicInstructionReuse(
+                            DIRConfig(**geometry)))
 
 
 def test_dir_is_architecturally_correct():
@@ -62,9 +63,11 @@ def test_dir_reuses_values():
 
 
 def test_dir_load_reuse_verified():
+    # Reused loads re-execute to verify their values; every cycle is
+    # checked, verification flushes included.
     prog = _build(load_kernel)
     emu = Emulator(prog).run()
-    core = _core_with_dir(prog)
+    core = _core_with_dir(prog, core_factory=CheckedCore)
     result = core.run()
     assert result.regs == emu.regs
     assert result.memory == emu.memory

@@ -34,6 +34,11 @@ def _lsq(initial=None):
     return LoadStoreQueue(SparseMemory(initial or {}))
 
 
+def _enter(lsq, dyn):
+    """Enter a load or store as rename/dispatch does (in seq order)."""
+    (lsq.loads if dyn.is_load else lsq.stores)[dyn.seq] = dyn
+
+
 def test_read_from_committed_memory():
     lsq = _lsq({0x100: 0xAA})
     value, forwarded = lsq.speculative_read(0x100, 8, seq=5)
@@ -43,28 +48,28 @@ def test_read_from_committed_memory():
 def test_forward_from_older_store():
     lsq = _lsq({0x100: 0xAA})
     store = _store(1, 0x100, 0xBB)
-    lsq.allocate(store)
+    _enter(lsq, store)
     value, forwarded = lsq.speculative_read(0x100, 8, seq=2)
     assert value == 0xBB and forwarded
 
 
 def test_younger_store_not_forwarded():
     lsq = _lsq({0x100: 0xAA})
-    lsq.allocate(_store(9, 0x100, 0xBB))
+    _enter(lsq, _store(9, 0x100, 0xBB))
     value, _fw = lsq.speculative_read(0x100, 8, seq=2)
     assert value == 0xAA
 
 
 def test_unissued_store_skipped():
     lsq = _lsq({0x100: 0xAA})
-    lsq.allocate(_store(1, 0x100, 0xBB, issued=False))
+    _enter(lsq, _store(1, 0x100, 0xBB, issued=False))
     value, _fw = lsq.speculative_read(0x100, 8, seq=2)
     assert value == 0xAA   # the speculation violations later catch
 
 
 def test_partial_byte_patching():
     lsq = _lsq({0x100: 0x1111111111111111})
-    lsq.allocate(_store(1, 0x103, 0xFF, size=1))
+    _enter(lsq, _store(1, 0x103, 0xFF, size=1))
     value, forwarded = lsq.speculative_read(0x100, 8, seq=2)
     assert forwarded
     assert value == 0x11111111FF111111
@@ -72,8 +77,8 @@ def test_partial_byte_patching():
 
 def test_multiple_stores_apply_in_age_order():
     lsq = _lsq()
-    lsq.allocate(_store(1, 0x100, 0x01))
-    lsq.allocate(_store(2, 0x100, 0x02))
+    _enter(lsq, _store(1, 0x100, 0x01))
+    _enter(lsq, _store(2, 0x100, 0x02))
     value, _fw = lsq.speculative_read(0x100, 8, seq=3)
     assert value == 0x02
 
@@ -81,34 +86,34 @@ def test_multiple_stores_apply_in_age_order():
 def test_violation_search_finds_early_loads():
     lsq = _lsq()
     load = _load(5, 0x100, issue_cycle=3)
-    lsq.allocate(load)
+    _enter(lsq, load)
     store = _store(2, 0x100, 0xEE, issue_cycle=9)
-    lsq.allocate(store)
+    _enter(lsq, store)
     assert lsq.find_violations(store) == [load]
 
 
 def test_no_violation_if_load_issued_after_store():
     lsq = _lsq()
     load = _load(5, 0x100, issue_cycle=10)
-    lsq.allocate(load)
+    _enter(lsq, load)
     store = _store(2, 0x100, 0xEE, issue_cycle=9)
-    lsq.allocate(store)
+    _enter(lsq, store)
     assert lsq.find_violations(store) == []
 
 
 def test_no_violation_for_disjoint_addresses():
     lsq = _lsq()
     load = _load(5, 0x200, issue_cycle=0)
-    lsq.allocate(load)
+    _enter(lsq, load)
     store = _store(2, 0x100, 0xEE, issue_cycle=5)
-    lsq.allocate(store)
+    _enter(lsq, store)
     assert lsq.find_violations(store) == []
 
 
 def test_commit_store_writes_memory():
     lsq = _lsq()
     store = _store(1, 0x100, 0x42)
-    lsq.allocate(store)
+    _enter(lsq, store)
     lsq.commit_store(store)
     assert lsq.memory.read(0x100, 8) == 0x42
     assert not lsq.stores
@@ -185,7 +190,7 @@ def test_speculative_read_matches_byte_loop(region, stores, words,
         store.squashed = state == "squashed"
         if state == "no-addr":
             store.mem_addr = None
-        lsq.allocate(store)
+        _enter(lsq, store)
     addr = region + load_offset
     assert lsq.speculative_read(addr, load_size, load_seq) == \
         _byte_loop_read(lsq, addr, load_size, load_seq)

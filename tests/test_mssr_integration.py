@@ -9,6 +9,7 @@ from repro.emu import Emulator
 from repro.utils.bits import to_signed
 
 from tests.conftest import run_both
+from tests.invariants import CheckedCore
 
 
 def branchy_kernel(arr, n):
@@ -97,11 +98,11 @@ def test_bloom_scheme_never_issues_verify_loads():
 
 
 def test_rgid_overflow_reset_is_correct():
-    # Tiny RGID space: overflow + global reset paths are exercised hard.
+    # Tiny RGID space: overflow + global reset paths are exercised hard,
+    # with the RGID epochs checked on every cycle.
     _mod, prog = _build(branchy_kernel)
     cfg = CoreConfig(mssr=MSSRConfig(num_streams=4, rgid_bits=3))
-    core = O3Core(prog, cfg)
-    emu, result = run_both(prog, cfg)
+    emu, result = run_both(prog, cfg, core_factory=CheckedCore)
     assert result.stats.rgid_resets > 0
 
 

@@ -183,3 +183,33 @@ def test_run_bench_smoke_tiny_point():
     report = build_report(results, calibration=1234.5)
     assert report["calibration_kops"] == 1234.5
     assert report["version"] == REPORT_VERSION
+
+
+def test_git_commit_marks_a_dirty_tree(tmp_path):
+    """A record made on uncommitted changes to tracked files is labelled
+    ``<commit>-dirty``; untracked files do not count."""
+    import subprocess
+
+    from repro.perf.bench import _git_commit
+
+    def git(*args):
+        subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false") + args, cwd=tmp_path,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    tracked = tmp_path / "tracked.txt"
+    tracked.write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "first")
+    head = subprocess.run(("git", "rev-parse", "--short", "HEAD"),
+                          cwd=tmp_path, check=True, capture_output=True,
+                          text=True).stdout.strip()
+    assert _git_commit(str(tmp_path)) == head
+    (tmp_path / "untracked.txt").write_text("new\n")
+    assert _git_commit(str(tmp_path)) == head
+    tracked.write_text("two\n")
+    assert _git_commit(str(tmp_path)) == head + "-dirty"
+    git("add", "tracked.txt")
+    assert _git_commit(str(tmp_path)) == head + "-dirty"
+    assert _git_commit(str(tmp_path / "nowhere")) == "unknown"

@@ -2,8 +2,10 @@
 
 The predecoded fast paths (``PDInst`` records + semantic closures) must
 be *unobservable*: every field mirrors ``inst``/``inst.info`` exactly,
-and a simulation through the fast paths produces byte-identical results
-to the original interpretive paths (kept alive under ``REPRO_SLOWPATH=1``).
+an emulation through the fast paths produces byte-identical results to
+the interpretive path (kept alive under ``REPRO_SLOWPATH=1`` as the ISA
+oracle), and the core, which executes only predecoded records, commits
+exactly what that oracle executes.
 """
 
 import os
@@ -17,7 +19,7 @@ from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
                                  KIND_HALT, KIND_LOAD, KIND_MUL, KIND_NOP,
                                  KIND_STORE, predecode_inst,
                                  slowpath_enabled)
-from repro.pipeline import O3Core, baseline_config, mssr_config
+from repro.pipeline import baseline_config, mssr_config
 from repro.utils.bits import to_unsigned
 from repro.workloads import get_workload
 
@@ -142,7 +144,7 @@ def test_program_predecode_is_cached_and_complete():
 
 
 # ---------------------------------------------------------------------------
-# Differential: fast path vs REPRO_SLOWPATH=1 interpretive path.
+# Differential: fast paths vs the REPRO_SLOWPATH=1 interpretive oracle.
 # ---------------------------------------------------------------------------
 def _emulate(prog, slow, monkeypatch):
     if slow:
@@ -164,24 +166,21 @@ def test_emulator_fast_slow_identity_micro(monkeypatch):
         assert fast.halted and slow.halted
 
 
-def _core_run(prog, config, slow, monkeypatch):
-    if slow:
-        monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
-    result = O3Core(prog, config).run()
-    return result.stats.as_dict(), result.regs
-
-
-def test_core_stats_byte_identical_fast_vs_slow(monkeypatch):
-    """SimStats must be *byte-identical* across the two execute paths,
-    for the plain pipeline and with MSSR squash reuse active."""
+def test_core_lockstep_against_interpretive_emulator(monkeypatch):
+    """The core checked commit by commit against the interpretive
+    emulator (``REPRO_SLOWPATH=1``: ``Emulator._execute`` applies each
+    opcode's ``alu_fn``/``branch_fn``), for the plain pipeline and with
+    MSSR squash reuse active. The core has one execute path, the
+    predecoded one; ``tests/data/stage_parity_pinned.json`` pins both
+    configurations' stats."""
+    from repro.obs import run_lockstep
+    monkeypatch.setenv("REPRO_SLOWPATH", "1")
     _mod, prog = get_workload("nested-mispred").build(scale=0.1)
     for config in (baseline_config(), mssr_config()):
-        fast_stats, fast_regs = _core_run(prog, config, False, monkeypatch)
-        slow_stats, slow_regs = _core_run(prog, config, True, monkeypatch)
-        assert fast_stats == slow_stats
-        assert fast_regs == slow_regs
+        outcome = run_lockstep(prog, config)
+        assert outcome.ok, outcome.divergence.format()
+        assert outcome.commits == outcome.result.stats.committed_insts
+    assert outcome.result.stats.reuse_successes > 0
 
 
 @settings(max_examples=25, deadline=None)

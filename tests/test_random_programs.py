@@ -10,6 +10,11 @@ The ``*_lockstep`` variants run the same generated programs under the
 commit-by-commit differential checker, so a divergence found by fuzzing
 is localised to the exact first wrong commit rather than a final-state
 diff.
+
+Every run is on a :class:`~tests.invariants.CheckedCore`: the machine's
+structures are checked at the start of every cycle, and a
+:class:`~repro.obs.sinks.MetricsSink` recounts the event-derived
+counters, which must equal the live ones (``verify(stats) == []``).
 """
 
 from hypothesis import given, settings, strategies as st
@@ -17,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 from repro.isa import Assembler, Op
 from repro.emu import Emulator
 from repro.obs import run_lockstep
-from repro.pipeline import O3Core, baseline_config, mssr_config, ri_config
+from repro.pipeline import baseline_config, mssr_config, ri_config
+
+from tests.invariants import checked
+
+#: Checked on every cycle, with the counters recounted from events.
+_CheckedCore = checked(metrics=True)
 
 _REGS = ["t0", "t1", "t2", "s1", "s3", "a4", "a5"]
 
@@ -85,7 +95,7 @@ def _assemble(descriptors, seeds):
 def test_random_program_cosim_baseline(descriptors, seeds):
     prog = _assemble(descriptors, seeds)
     emu = Emulator(prog).run(max_insts=100_000)
-    result = O3Core(prog, baseline_config()).run(max_cycles=200_000)
+    result = _CheckedCore(prog, baseline_config()).run(max_cycles=200_000)
     assert result.regs == emu.regs
     assert result.memory == emu.memory
 
@@ -97,14 +107,15 @@ def test_random_program_cosim_baseline(descriptors, seeds):
 def test_random_program_cosim_mssr(descriptors, seeds):
     prog = _assemble(descriptors, seeds)
     emu = Emulator(prog).run(max_insts=100_000)
-    result = O3Core(prog, mssr_config(num_streams=4)).run(
+    result = _CheckedCore(prog, mssr_config(num_streams=4)).run(
         max_cycles=200_000)
     assert result.regs == emu.regs
     assert result.memory == emu.memory
 
 
 def _lockstep(prog, config):
-    outcome = run_lockstep(prog, config, max_cycles=200_000)
+    outcome = run_lockstep(prog, config, max_cycles=200_000,
+                           core_factory=_CheckedCore)
     assert outcome.ok, outcome.divergence.format()
     assert outcome.commits == outcome.result.stats.committed_insts
 
