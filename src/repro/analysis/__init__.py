@@ -8,7 +8,6 @@ processes via the ``jobs=`` knob (default ``REPRO_JOBS``).
 
 from repro.analysis.experiments import (
     run_workload,
-    config_for,
     table1_microbench,
     fig3_ri_replacements,
     fig4_reconvergence_types,
@@ -23,7 +22,6 @@ from repro.analysis.tables import format_table
 
 __all__ = [
     "run_workload",
-    "config_for",
     "table1_microbench",
     "fig3_ri_replacements",
     "fig4_reconvergence_types",

@@ -20,22 +20,13 @@ reproduction target, not absolute cycle counts.
 
 import math
 
-from repro.harness import SimJob, build_config, submit
+from repro.harness import SimJob, submit
 from repro.workloads.registry import suite_names
 from repro.hwmodels.storage import StorageModel
 from repro.hwmodels.synthesis import (
     reconvergence_detection_report,
     reuse_test_report,
 )
-
-
-def config_for(kind, **params):
-    """Build a named configuration.
-
-    ``kind``: ``baseline``, ``mssr`` (params: streams, wpb, log) or
-    ``ri`` (params: sets, ways).
-    """
-    return build_config(kind, **params)
 
 
 def _mssr_job(name, scale, streams, wpb, log):

@@ -1,4 +1,4 @@
-"""Unified layered configuration: schema, env registry, sweeps.
+"""Configuration: schema, job snapshots, env registry, sweeps.
 
 Import layering: :mod:`repro.config.envreg` is stdlib-only and safe to
 import from anywhere (including :mod:`repro.isa.predecode`, which sits
@@ -17,8 +17,6 @@ _LAZY = {
     "schema": ("repro.config.schema", "schema"),
     "field": ("repro.config.schema", "field"),
     "model_keys": ("repro.config.schema", "model_keys"),
-    "ConfigTree": ("repro.config.tree", "ConfigTree"),
-    "resolve": ("repro.config.tree", "resolve"),
     "job_snapshot": ("repro.config.tree", "job_snapshot"),
     "snapshot_hash": ("repro.config.tree", "snapshot_hash"),
     "build_core_config": ("repro.config.tree", "build_core_config"),

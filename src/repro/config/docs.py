@@ -29,32 +29,29 @@ def generate_reference():
     lines = [BEGIN_MARK, ""]
     lines.append("#### Configuration keys")
     lines.append("")
-    lines.append("Dotted keys of the layered configuration tree "
-                 "(defaults < config file < `REPRO_*` environment < "
-                 "`--set` overrides). *Model* keys enter configuration "
-                 "hashes and result snapshots; runtime keys "
-                 "(`harness.*`, `perf.*`) never do.")
+    lines.append("Dotted model keys. A job's snapshot holds every key of "
+                 "the sections its kind activates, at this default unless "
+                 "a `--set` or sweep override names it; the snapshot is "
+                 "what the job hashes and simulates.")
     lines.append("")
     lines.append("| key | type | default | description |")
     lines.append("|---|---|---|---|")
     table = schema()
-    for key in sorted(table, key=lambda k: (not table[k].model, k)):
+    for key in sorted(table):
         spec = table[key]
         doc = spec.doc
         if spec.choices:
             doc = "%s Choices: %s." % (doc, ", ".join(
                 "`%s`" % choice for choice in spec.choices))
-        if spec.env:
-            doc = "%s Env: `%s`." % (doc, spec.env)
         lines.append("| `%s` | %s | %s | %s |"
                      % (spec.key, spec.type.__name__,
                         _fmt_default(spec.default), doc))
     lines.append("")
     lines.append("#### Environment variables")
     lines.append("")
-    lines.append("Every `REPRO_*` variable is declared in "
-                 "`repro.config.envreg`; all reads go through the "
-                 "registry.")
+    lines.append("Runtime settings. Every `REPRO_*` variable is declared "
+                 "in `repro.config.envreg`; all reads go through the "
+                 "registry, and none enters a job's snapshot or hash.")
     lines.append("")
     lines.append("| variable | type | default | description |")
     lines.append("|---|---|---|---|")

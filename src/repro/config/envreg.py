@@ -3,16 +3,18 @@
 Before this module existed, each subsystem read ``os.environ`` at its
 own call sites with its own parsing conventions, so the set of knobs
 was undiscoverable and the parsing rules subtly inconsistent. Every
-variable is now *declared* here once — name, type, default, docstring
-and (optionally) the configuration-tree key it backs — and every
-consumer resolves through the typed accessors below, so:
+variable is now *declared* here once — name, type, default and
+docstring — and every consumer resolves through the typed accessors
+below, so:
 
-* ``python -m repro.harness config show`` can enumerate and document
-  the whole surface (the README table is generated from this registry);
-* the configuration tree (:mod:`repro.config.tree`) knows exactly which
-  keys the environment layer may set;
+* ``python -m repro.harness config show`` can report the variables
+  that are set (the README table is generated from this registry);
 * parsing rules ("0 disables", "empty means unset", disable sentinels
   for cache directories) live in one place.
+
+The variables are runtime settings only (worker counts, directories,
+test and benchmark switches): none of them is part of a job's
+configuration snapshot (:mod:`repro.config.tree`).
 
 This module must stay stdlib-only: it is imported by
 :mod:`repro.isa.predecode`, which sits under everything else.
@@ -33,16 +35,13 @@ FALSE_VALUES = ("", "0", "false", "off", "no")
 class EnvVar:
     """Declaration of one environment variable.
 
-    ``type`` is one of ``str``/``int``/``float``/``bool``/``path``;
-    ``key`` names the configuration-tree key this variable backs (None
-    for variables outside the tree, e.g. pytest-only knobs).
+    ``type`` is one of ``str``/``int``/``float``/``bool``/``path``.
     """
 
     name: str
     type: str
     default: object
     doc: str
-    key: str = None
 
     def parse(self, raw):
         """Parse a raw environment string per the declared type.
@@ -77,51 +76,40 @@ def _declare(*vars_):
 REGISTRY = _declare(
     EnvVar("REPRO_JOBS", "int", 1,
            "Harness worker processes (0 = one per CPU; default 1 = "
-           "serial).", key="harness.jobs"),
+           "serial)."),
     EnvVar("REPRO_CACHE_DIR", "path", None,
            "On-disk result cache directory (default "
-           "~/.cache/repro-sim; 'off' disables caching).",
-           key="harness.cache_dir"),
+           "~/.cache/repro-sim; 'off' disables caching)."),
     EnvVar("REPRO_CKPT_DIR", "path", None,
            "Sampling checkpoint store directory (default "
-           "<cache>/checkpoints; 'off' disables the store).",
-           key="harness.ckpt_dir"),
+           "<cache>/checkpoints; 'off' disables the store)."),
     EnvVar("REPRO_TRACE", "path", None,
            "Directory: every executed job also writes a JSONL event "
-           "trace there (workers included).", key="harness.trace_dir"),
-    EnvVar("REPRO_CONFIG", "path", None,
-           "TOML/JSON configuration file applied as the file layer of "
-           "the configuration tree.", key="harness.config_file"),
+           "trace there (workers included)."),
     EnvVar("REPRO_LOG_LEVEL", "str", None,
            "Logging level for the repro.* hierarchy (DEBUG, INFO, "
-           "WARNING, ...).", key="harness.log_level"),
+           "WARNING, ...)."),
     EnvVar("REPRO_SLOWPATH", "bool", False,
            "Run the emulator's interpretive ISA oracle instead of its "
-           "predecoded and superblock paths (differential testing).",
-           key="harness.slowpath"),
-    EnvVar("REPRO_SHARED_IMAGES", "bool", True,
-           "Batch runner groups same-(workload, scale) jobs into one "
-           "worker so the program image and predecode/superblock "
-           "tables are built once per group (0 = one process per "
-           "job).", key="harness.shared_images"),
+           "predecoded and superblock paths (differential testing)."),
     EnvVar("REPRO_LOCKSTEP", "bool", False,
            "Cosimulation tests check every commit against the emulator "
-           "instead of only final state.", key="harness.lockstep"),
+           "instead of only final state."),
     EnvVar("REPRO_BENCH_SCALE", "float", 0.1,
            "Workload scale factor for benchmarks/ (paper inputs are "
-           "proportionally shrunk).", key="perf.bench_scale"),
+           "proportionally shrunk)."),
     EnvVar("REPRO_FULL", "bool", False,
            "Include the expensive upper-bound benchmark configurations "
-           "(e.g. Figure 10's 4x1024 point).", key="perf.full"),
+           "(e.g. Figure 10's 4x1024 point)."),
     EnvVar("REPRO_PERF_THRESHOLD", "float", 0.15,
            "Allowed normalised-throughput drop for the perf regression "
-           "gate.", key="perf.threshold"),
+           "gate."),
     EnvVar("REPRO_PERF_CURRENT", "path", None,
            "Path to an already-measured perf report to gate instead of "
-           "re-measuring.", key="perf.current"),
+           "re-measuring."),
     EnvVar("REPRO_JOB_TIMEOUT", "float", 0.0,
            "Default per-job wall-clock timeout in seconds enforced by "
-           "the batch runner (0 disables).", key="harness.job_timeout"),
+           "the batch runner (0 disables)."),
 )
 
 
@@ -146,11 +134,6 @@ def get(name, env=None):
     """Typed value of ``name``: parsed environment value, or the
     declared default when unset/unparsable."""
     return declared(name).parse(raw(name, env))
-
-
-def is_set(name, env=None):
-    """True when the variable is present in the environment at all."""
-    return raw(name, env) is not None
 
 
 def store_dir(name, env=None):

@@ -1,33 +1,31 @@
-"""Typed schema of the whole configuration tree.
+"""Typed schema of the model configuration.
 
 The schema is *derived* from the dataclasses that already define the
 simulator's knobs (:class:`~repro.pipeline.config.CoreConfig`,
 :class:`~repro.pipeline.config.MSSRConfig`,
 :class:`~repro.pipeline.config.RIConfig`, the DIR reuse-buffer geometry
 and :class:`~repro.sampling.sampler.SamplingSpec`), so a field added to
-a dataclass automatically appears in the tree, the ``--set`` surface,
-the sweep DSL and the generated configuration reference. Runtime knobs
-(worker counts, cache directories, log level) come from the env-var
-registry (:mod:`repro.config.envreg`) and are marked non-*model*: they
-never enter configuration hashes, because they cannot change simulated
-results.
+a dataclass automatically appears in job snapshots, the ``--set``
+surface, the sweep DSL and the generated configuration reference. Every
+key can change simulated results, so every key enters configuration
+hashes. Runtime settings (worker counts, cache directories, log level)
+are not keys: they are ``REPRO_*`` variables of the env-var registry
+(:mod:`repro.config.envreg`).
 
 Keys are dotted ``section.field`` names::
 
     core.width          mssr.num_streams        sampling.interval_insts
-    ri.num_sets         dir.assoc               harness.jobs
+    ri.num_sets         dir.assoc               mem.model
 """
 
 import dataclasses
 import difflib
 
-from repro.config import envreg
-
 #: Bumped whenever the schema or the canonical serialisation changes in
 #: a way that alters configuration hashes; folded into job specs and the
 #: harness cache fingerprint so results hashed under an older scheme are
-#: never misattributed to the new one. v4: runtime
-#: ``harness.shared_images`` key (shared-image batching). v5: ``mem.*``
+#: never misattributed to the new one. v4: a runtime key for
+#: shared-image batching (since removed). v5: ``mem.*``
 #: section (port-based memory system). v6: the flat model reads
 #: ``mem.*`` too, and the core section lost its own L1/L2/DRAM keys.
 CONFIG_SCHEMA_VERSION = 6
@@ -36,9 +34,9 @@ CONFIG_SCHEMA_VERSION = 6
 MODEL_SECTIONS = ("core", "frontend", "mem", "mssr", "ri", "dir",
                   "sampling")
 
-#: Extra model sections required by each job kind (``core`` and
-#: ``frontend`` are always present; ``sampling`` joins when the job is
-#: sampled).
+#: Extra model sections required by each job kind (``core``,
+#: ``frontend`` and ``mem`` are always present; a sampled job's
+#: ``sampling`` knobs enter its spec beside the snapshot).
 KIND_SECTIONS = {
     "baseline": (),
     "mssr": ("mssr",),
@@ -49,29 +47,19 @@ KIND_SECTIONS = {
 
 @dataclasses.dataclass(frozen=True)
 class FieldSpec:
-    """One key of the configuration tree."""
+    """One model configuration key."""
 
     key: str                 # dotted name, e.g. "core.width"
     type: type               # int / float / str / bool
     default: object
     doc: str
     choices: tuple = None    # closed value set for enum-like strings
-    env: str = None          # backing REPRO_* variable, if any
-    model: bool = True       # enters configuration hashes
-
-    @property
-    def section(self):
-        return self.key.partition(".")[0]
-
-    @property
-    def name(self):
-        return self.key.partition(".")[2]
 
     def coerce(self, value, source="value"):
         """Validate/convert ``value`` for this field.
 
-        Accepts native values (from files / programmatic use) and
-        strings (from ``--set`` overrides and environment variables).
+        Accepts native values (from sweep files / programmatic use)
+        and strings (from ``--set`` overrides).
         """
         if isinstance(value, str) and self.type is not str:
             value = self._from_string(value)
@@ -234,9 +222,6 @@ _DOCS = {
     "sampling.seed": "Deterministic clustering seed.",
 }
 
-_ENV_TYPES = {"str": str, "path": str, "int": int, "float": float,
-              "bool": bool}
-
 _SCHEMA = None
 
 
@@ -285,20 +270,11 @@ def _build_schema():
                                default=default,
                                doc=_DOCS.get(key, "(undocumented)")))
     specs += _dataclass_fields("sampling", SamplingSpec)
-
-    # Runtime keys, one per registered env var that backs a tree key.
-    for name in sorted(envreg.REGISTRY):
-        var = envreg.REGISTRY[name]
-        if var.key is None:
-            continue
-        specs.append(FieldSpec(key=var.key, type=_ENV_TYPES[var.type],
-                               default=var.default, doc=var.doc,
-                               env=name, model=False))
     return {spec.key: spec for spec in specs}
 
 
 def schema():
-    """``{key: FieldSpec}`` for the whole tree (cached per process)."""
+    """``{key: FieldSpec}`` for every model key (cached per process)."""
     global _SCHEMA
     if _SCHEMA is None:
         _SCHEMA = _build_schema()
@@ -318,7 +294,7 @@ def field(key):
                        % (key, suggestion(key, table))) from None
 
 
-def model_keys(kind=None, sampled=False):
+def model_keys(kind=None):
     """Canonically ordered model keys, optionally restricted to the
     sections relevant for one job ``kind``."""
     if kind is None:
@@ -330,8 +306,7 @@ def model_keys(kind=None, sampled=False):
             raise KeyError("unknown config kind %r%s"
                            % (kind, suggestion(kind,
                                                KIND_SECTIONS))) from None
-        sections = ("core", "frontend", "mem") + extra \
-            + (("sampling",) if sampled else ())
+        sections = ("core", "frontend", "mem") + extra
     out = []
     for section in sections:
         out.extend(key for key in schema()

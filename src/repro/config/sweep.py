@@ -5,7 +5,7 @@ structure sizes — and this module makes such matrices *declarative*: a
 sweep names its workloads and a list of scenarios, each scenario pins a
 configuration kind plus fixed overrides and optional ``grid``
 (cartesian product) and ``zip`` (parallel lists) axes over any model
-key of the configuration tree. Expansion produces ordinary
+configuration key. Expansion produces ordinary
 :class:`~repro.harness.jobs.SimJob` objects, deduplicated by job hash,
 so two scenarios that describe the same point (e.g. a DCI scenario and
 the 1-stream point of an MSSR grid) simulate exactly once and share
@@ -45,9 +45,10 @@ Scenario tables may also override ``workloads``, ``scale`` and
 
 import dataclasses
 import itertools
+import json
+import tomllib
 
 from repro.config.schema import field, suggestion
-from repro.config.tree import flatten, load_file
 
 #: Keys understood in a [sweep] table / Sweep(...) call.
 _SWEEP_KEYS = ("name", "workloads", "scale", "sampling", "jobs", "base",
@@ -226,6 +227,32 @@ def _check_table(table, allowed, what):
 # ---------------------------------------------------------------------------
 # File loading
 # ---------------------------------------------------------------------------
+def flatten(mapping, prefix=""):
+    """Flatten nested tables into dotted keys
+    (``{"core": {"width": 8}}`` -> ``{"core.width": 8}``)."""
+    out = {}
+    for name, value in mapping.items():
+        key = "%s%s" % (prefix, name)
+        if isinstance(value, dict):
+            out.update(flatten(value, key + "."))
+        else:
+            out[key] = value
+    return out
+
+
+def load_file(path):
+    """Parse a sweep file into a dict: JSON when the name ends in
+    ``.json``, TOML otherwise. A malformed file raises ``ValueError``
+    naming ``path``."""
+    with open(path, "rb") as handle:
+        try:
+            if str(path).endswith(".json"):
+                return json.load(handle)
+            return tomllib.load(handle)
+        except ValueError as exc:      # incl. TOMLDecodeError, bad UTF-8
+            raise ValueError("%s: %s" % (path, exc)) from None
+
+
 def sweep_from_dict(doc):
     """Build a :class:`Sweep` from a parsed TOML/JSON document."""
     if not isinstance(doc, dict):

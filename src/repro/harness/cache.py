@@ -40,7 +40,7 @@ def code_fingerprint():
     the ``REPRO_SLOWPATH`` escape hatch are folded in as well: results
     simulated via the interpretive paths must never be served to (or
     poison the cache of) predecoded runs, and entries hashed under an
-    older job-hashing scheme (pre configuration tree) must never be
+    older job-hashing scheme (before job snapshots) must never be
     misattributed — bumping ``CONFIG_SCHEMA_VERSION`` strands them
     under a stale fingerprint, which ``harness cache`` reports as
     orphaned. The slowpath marker is applied per *call* (not baked into

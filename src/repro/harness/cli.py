@@ -8,7 +8,7 @@ Reproduce single points (or small sweeps) without pytest::
     python -m repro.harness run --workload bfs --sampled --interval 2000
     python -m repro.harness sweep examples/sweeps/fig10_small.toml
     python -m repro.harness sweep examples/sweeps/smoke.toml --dry-run
-    python -m repro.harness config show --provenance
+    python -m repro.harness config show --kind mssr --set core.width=4
     python -m repro.harness config hash --kind mssr --set mssr.wpb_entries=32
     python -m repro.harness config docs --check
     python -m repro.harness trace --workload bfs --kind mssr --out bfs.jsonl
@@ -56,6 +56,16 @@ def _build_parser():
                      help="SimPoint-sampled execution instead of a full "
                           "detailed run")
     _add_sampling_args(run)
+    run.add_argument("--warmup-branches", type=int, default=None,
+                     help="branches replayed into the predictors "
+                          "before each interval (default: 2048)")
+    run.add_argument("--warmup-mem", type=int, default=None,
+                     help="memory accesses replayed into the caches "
+                          "before each interval (default: 4096)")
+    run.add_argument("--detail-warmup", type=int, default=None,
+                     help="instructions simulated in detail (stats "
+                          "discarded) before each interval "
+                          "(default: 1000)")
 
     sweep = sub.add_parser(
         "sweep", help="expand a declared scenario sweep into a "
@@ -72,25 +82,21 @@ def _build_parser():
                        help="emit full per-entry results as JSON")
 
     config = sub.add_parser(
-        "config", help="inspect the layered configuration tree")
+        "config", help="print the configuration snapshot a job hashes")
     config.add_argument("action", nargs="?", default="show",
                         choices=("show", "hash", "docs"),
-                        help="show the resolved tree, print the model "
-                             "config hash, or (re)generate the "
-                             "configuration reference docs")
-    config.add_argument("--file", default=None,
-                        help="TOML/JSON config file for the file layer "
-                             "(default: REPRO_CONFIG)")
+                        help="show the snapshot and the REPRO_* variables "
+                             "that are set, print the snapshot's hash, or "
+                             "(re)generate the configuration reference "
+                             "docs")
     config.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides",
-                        help="override layer entries (repeatable)")
-    config.add_argument("--provenance", action="store_true",
-                        help="show: annotate every value with the layer "
-                             "that set it")
+                        help="dotted model-key override (repeatable)")
     config.add_argument("--kind", default=None,
                         choices=sorted(KIND_PARAMS),
-                        help="hash: restrict to the sections active "
-                             "for this job kind")
+                        help="restrict the snapshot to the sections "
+                             "active for this job kind (default: every "
+                             "model section)")
     config.add_argument("--check", action="store_true",
                         help="docs: fail if the generated reference is "
                              "stale instead of rewriting it")
@@ -197,16 +203,6 @@ def _add_sampling_args(parser):
                              "(default: 100000)")
     parser.add_argument("--max-k", type=int, default=None,
                         help="maximum number of clusters (default: 8)")
-    parser.add_argument("--warmup-branches", type=int, default=None,
-                        help="branches replayed into the predictors "
-                             "before each interval (default: 2048)")
-    parser.add_argument("--warmup-mem", type=int, default=None,
-                        help="memory accesses replayed into the caches "
-                             "before each interval (default: 4096)")
-    parser.add_argument("--detail-warmup", type=int, default=None,
-                        help="instructions simulated in detail (stats "
-                             "discarded) before each interval "
-                             "(default: 1000)")
 
 
 def _collect_sampling(args):
@@ -236,7 +232,7 @@ def _add_job_args(parser):
     parser.add_argument("--ways", type=int, help="RI/DIR associativity")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE", dest="overrides",
-                        help="dotted configuration-tree override, e.g. "
+                        help="dotted configuration override, e.g. "
                              "mssr.rgid_bits=8 (repeatable)")
     parser.add_argument("--max-cycles", type=int, default=None,
                         help="per-job simulated-cycle guard")
@@ -539,8 +535,6 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_config(args, out):
-    from repro.config.tree import resolve
-
     if args.action == "docs":
         from repro.config.docs import update_file
         import os
@@ -562,18 +556,30 @@ def _cmd_config(args, out):
                                 "up to date" if fresh else "rewritten"))
         return 0
 
+    from repro.config import envreg
+    from repro.config.tree import job_snapshot, snapshot_hash
     try:
-        tree = resolve(file=args.file, overrides=args.overrides)
+        snapshot = job_snapshot(args.kind, _collect_overrides(args))
     except (KeyError, ValueError) as exc:
         _log.error("%s", exc)
         return 2
 
     if args.action == "hash":
-        out.write("%s\n" % tree.config_hash(kind=args.kind))
+        out.write("%s\n" % snapshot_hash(snapshot))
         return 0
-    for line in tree.lines(provenance=args.provenance):
-        out.write(line + "\n")
-    out.write("\n# config hash: %s\n" % tree.config_hash())
+    section = None
+    for key in sorted(snapshot):
+        if key.partition(".")[0] != section:
+            if section is not None:
+                out.write("\n")
+            section = key.partition(".")[0]
+            out.write("[%s]\n" % section)
+        out.write("%s = %s\n" % (key, json.dumps(snapshot[key])))
+    out.write("\n# config hash: %s\n" % snapshot_hash(snapshot))
+    for var, raw, parsed in envreg.environment_report():
+        if raw is not None:
+            out.write("# %s=%s (%s)\n" % (var.name, raw,
+                                          json.dumps(parsed)))
     return 0
 
 

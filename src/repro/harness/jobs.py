@@ -31,7 +31,7 @@ import signal
 import threading
 from typing import Optional, Tuple
 
-#: Short scheme parameter -> configuration-tree key, per kind.
+#: Short scheme parameter -> configuration key, per kind.
 KIND_PARAM_KEYS = {
     "baseline": {},
     "mssr": {"streams": "mssr.num_streams", "wpb": "mssr.wpb_entries",
@@ -59,7 +59,7 @@ class SimJob:
     only — a guarded run either produces the exact same stats or fails —
     so they are excluded from the job hash.
 
-    ``config`` holds extra overrides as dotted configuration-tree keys
+    ``config`` holds extra overrides as dotted configuration keys
     (``{"mssr.rgid_bits": 8}`` or a tuple of pairs) — any model key of
     the sections active for ``kind`` is sweepable. Overrides are
     validated against the schema, canonicalised to a sorted tuple of
@@ -120,7 +120,7 @@ class SimJob:
     # ------------------------------------------------------------------
     def overrides(self):
         """Merged dotted-key overrides: ``config`` plus the short
-        scheme parameters mapped onto their tree keys."""
+        scheme parameters mapped onto their configuration keys."""
         merged = dict(self.config)
         mapping = KIND_PARAM_KEYS[self.kind]
         for key, value in self.params:
@@ -205,10 +205,9 @@ class SimJob:
 
 
 # ---------------------------------------------------------------------------
-# Config / scheme construction (the single source of truth; the legacy
-# ``repro.analysis.config_for`` delegates here). Both resolve through
-# the configuration tree, so a config built here is byte-for-byte the
-# one a SimJob with the same parameters would hash and persist.
+# Config / scheme construction. Both resolve through the job snapshot,
+# so a config built here is byte-for-byte the one a SimJob with the
+# same parameters would hash and persist.
 # ---------------------------------------------------------------------------
 def _merged_overrides(kind, config_overrides, params):
     if kind not in KIND_PARAM_KEYS:
@@ -231,7 +230,7 @@ def build_config(kind, config_overrides=None, **params):
     ``kind``: ``baseline``, ``mssr`` (params: streams, wpb, log),
     ``ri`` (params: sets, ways) or ``dir`` (scheme object on a baseline
     core, params: sets, ways). ``config_overrides`` takes arbitrary
-    dotted configuration-tree keys (``{"mssr.rgid_bits": 8}``).
+    dotted configuration keys (``{"mssr.rgid_bits": 8}``).
     """
     from repro.config.tree import build_core_config
     return build_core_config(kind,

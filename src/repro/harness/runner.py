@@ -8,16 +8,14 @@ Resolution order for each job in a batch:
 2. **disk cache** — results persisted by previous processes
    (:mod:`repro.harness.cache`), keyed by job hash + code fingerprint;
 3. **simulation** — remaining jobs are deduplicated, grouped by
-   program image (same ``(workload, scale)`` — the config tree makes
-   such cells trivially identifiable) and fanned out over a supervised
-   :class:`ProcessPool` (``REPRO_JOBS`` workers by default). Each
-   worker process runs its whole group sequentially, so the program
-   image and its predecode/superblock tables are built **once per
-   group** instead of once per job (``REPRO_SHARED_IMAGES=0`` restores
-   one process per job). Workers rebuild programs from the job spec
-   and ship stats back as plain dicts; the serial path round-trips
-   through the same dict representation so parallel and serial batches
-   are byte-identical.
+   program image (same ``(workload, scale)``) and fanned out over a
+   supervised :class:`ProcessPool` (``REPRO_JOBS`` workers by
+   default). Each worker process runs its whole group sequentially, so
+   the program image and its predecode/superblock tables are built
+   **once per group** instead of once per job. Workers rebuild
+   programs from the job spec and ship stats back as plain dicts; the
+   serial path round-trips through the same dict representation so
+   parallel and serial batches are byte-identical.
 
 Per-job failures are captured, not propagated mid-batch: every job
 either yields stats or an error entry, and ``strict`` batches raise a
@@ -103,13 +101,7 @@ def default_job_timeout():
     return float(value) if value and value > 0 else None
 
 
-def default_shared_images():
-    """Shared-image grouping toggle from ``REPRO_SHARED_IMAGES``."""
-    from repro.config import envreg
-    return envreg.get("REPRO_SHARED_IMAGES")
-
-
-def group_jobs(jobs, n_slots, shared=True):
+def group_jobs(jobs, n_slots):
     """Partition ``jobs`` into worker groups sharing a program image.
 
     Jobs with the same ``(workload, scale)`` build byte-identical
@@ -118,12 +110,8 @@ def group_jobs(jobs, n_slots, shared=True):
     superblock construction across the group. Each image's jobs are
     split into at most ``n_slots // n_images`` contiguous chunks so a
     single-image batch still fans out across the pool rather than
-    serialising on one worker. ``shared=False`` degrades to one
-    singleton group per job (the pre-grouping behaviour).
+    serialising on one worker.
     """
-    jobs = list(jobs)
-    if not shared:
-        return [[job] for job in jobs]
     images = {}
     order = []
     for job in jobs:
@@ -214,9 +202,7 @@ class ProcessPool:
 
     Each submitted group runs sequentially in its own process (crash
     isolation: a worker that dies takes exactly one group with it, and
-    its exit code is captured); single-job groups reproduce the old
-    one-process-per-job behaviour exactly. :meth:`poll` resolves jobs
-    three ways:
+    its exit code is captured). :meth:`poll` resolves jobs three ways:
 
     * a result on the queue — success or a captured traceback;
     * a dead process without results for its unfinished jobs —
@@ -377,7 +363,7 @@ class ProcessPool:
 
 
 def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
-              memo=_MEMO, shared_images=None):
+              memo=_MEMO):
     """Resolve a batch of :class:`SimJob`; returns a :class:`BatchReport`.
 
     ``n_jobs``: worker processes (defaults to ``REPRO_JOBS``, serial if
@@ -386,8 +372,8 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
     ``progress``: optional callable ``(done, total, job, source)`` with
     source one of ``memo``/``disk``/``run``/``error``. ``strict``:
     raise :class:`JobFailure` if any job failed (otherwise failed jobs
-    resolve to ``None`` stats). ``shared_images``: group same-program
-    jobs into shared workers (defaults to ``REPRO_SHARED_IMAGES``).
+    resolve to ``None`` stats). Pending jobs run in groups that share
+    a program image (:func:`group_jobs`).
     """
     global _LAST_REPORT
     jobs = list(jobs)
@@ -451,9 +437,7 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
             _note(job, "error")
 
     if pending:
-        if shared_images is None:
-            shared_images = default_shared_images()
-        groups = group_jobs(pending, n_jobs, shared=shared_images)
+        groups = group_jobs(pending, n_jobs)
         report.groups = len(groups)
         _log.info("batch: %d job(s), %d cached (%d memo, %d disk), "
                   "simulating %d in %d group(s) on %d worker(s)",

@@ -6,10 +6,10 @@ synchronous :class:`MemoryHierarchy` (default) and the port-based
 completion-cycle requests).
 """
 
-from repro.mem.cache import Cache, REPLACEMENT_POLICIES
+from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.ports import (MemPort, MSHRFile, PortedICache,
                              PortedMemorySystem)
 
-__all__ = ["Cache", "REPLACEMENT_POLICIES", "MemoryHierarchy",
-           "MemPort", "MSHRFile", "PortedICache", "PortedMemorySystem"]
+__all__ = ["Cache", "MemoryHierarchy", "MemPort", "MSHRFile",
+           "PortedICache", "PortedMemorySystem"]

@@ -2,16 +2,13 @@
 
 Functional data lives in :class:`repro.emu.memory.SparseMemory`; caches
 only track *presence* to derive access latencies (a standard decoupling
-in execution-driven simulators). Writeback/write-allocate with true LRU
-by default; the replacement policy is pluggable per level.
+in execution-driven simulators). Writeback/write-allocate with true
+LRU replacement.
 
 One :class:`Cache` class models every level of the hierarchy — the flat
 ``MemoryHierarchy``'s L1D and L2, and the ported memory system's L1I,
 L1D and shared L2 are all instances of it.
 """
-
-#: Named replacement policies (selected by ``Cache(replacement=...)``).
-REPLACEMENT_POLICIES = ("lru", "mru")
 
 
 class _Line:
@@ -30,21 +27,12 @@ def _lru_key(line):
     return (line.valid, line.lru)
 
 
-def _mru_key(line):
-    return (line.valid, -line.lru)
-
-
-_POLICY_KEYS = {"lru": _lru_key, "mru": _mru_key}
-
-
 class Cache:
     """One cache level.
 
-    ``replacement`` names a policy from :data:`REPLACEMENT_POLICIES`
-    or is a callable ``key(line)`` handed to ``min()`` over the set's
-    ways. Invalid ways must sort first: a set's ways are created
-    lazily, and a fill into a set with fewer than ``assoc`` ways takes
-    a fresh way without consulting the key. ``last_victim_line`` holds
+    A set's ways are created lazily: a fill into a set with fewer than
+    ``assoc`` ways takes a fresh way; a full set evicts its least
+    recently used way (an invalid way first). ``last_victim_line`` holds
     the line address evicted by the most recent :meth:`fill` (None when
     the fill hit or took a free way) so an outer hierarchy can
     propagate the victim's dirty state to the next level.
@@ -53,23 +41,11 @@ class Cache:
     __slots__ = ("name", "size_bytes", "assoc", "line_bytes", "latency",
                  "num_sets", "sets", "_tick", "hits", "misses",
                  "writebacks", "fills", "last_victim_line",
-                 "last_victim_dirty", "_victim_key")
+                 "last_victim_dirty")
 
-    def __init__(self, name, size_bytes, assoc, line_bytes, latency,
-                 replacement="lru"):
+    def __init__(self, name, size_bytes, assoc, line_bytes, latency):
         if size_bytes % (assoc * line_bytes):
             raise ValueError("cache size must be a multiple of way size")
-        if callable(replacement):
-            self._victim_key = replacement
-        else:
-            try:
-                self._victim_key = _POLICY_KEYS[replacement]
-            except KeyError:
-                raise ValueError(
-                    "unknown replacement policy %r (choose from: %s, or "
-                    "pass a key callable)"
-                    % (replacement,
-                       ", ".join(REPLACEMENT_POLICIES))) from None
         self.name = name
         self.size_bytes = size_bytes
         self.assoc = assoc
@@ -133,7 +109,7 @@ class Cache:
             victim = _Line()
             ways.append(victim)
         else:
-            victim = min(ways, key=self._victim_key)
+            victim = min(ways, key=_lru_key)
         wrote_back = victim.valid and victim.dirty
         if victim.valid:
             self.last_victim_line = victim.tag

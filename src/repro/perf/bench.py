@@ -57,7 +57,7 @@ class BenchPoint:
     (``baseline``/``mssr``/...), only meaningful for core points.
     ``variant`` selects an alternate dispatch strategy of the same
     engine — currently ``"superblock"`` for emulator points.
-    ``config`` holds extra dotted configuration-tree overrides for core
+    ``config`` holds extra dotted configuration overrides for core
     points (``{"mem.model": "ported"}``). Both are omitted from the
     spec when unset so reports from before the fields existed
     round-trip unchanged.

@@ -20,14 +20,16 @@ class IssueQueue:
     ``size`` counts dispatched, not-yet-issued entries. Issue decrements
     it; squashes are the squash unit's job
     (:meth:`~repro.pipeline.stages.squash.SquashUnit.apply` subtracts
-    the squashed, never-issued entries it pops from the ROB). Squashed
-    entries themselves stay in ``ready``/``waiting`` until their next
-    touch: execute and writeback skip them.
+    the squashed, never-issued entries it pops from the ROB, and drops
+    the waiter lists of the registers it frees). Other squashed entries
+    stay in ``ready``/``waiting`` until their next touch: execute and
+    writeback skip them.
 
     ``waiting`` maps a source preg to the instructions waiting on it (an
     instruction waiting on two pregs sits in two lists, and its
-    ``wait_count`` says how many); ``ready`` holds the instructions with
-    every operand ready, in no particular order.
+    ``wait_count`` says how many); a preg has a list only while it is
+    allocated and not yet written. ``ready`` holds the instructions
+    with every operand ready, in no particular order.
     """
 
     __slots__ = ("name", "capacity", "size", "waiting", "ready")

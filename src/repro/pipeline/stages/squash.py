@@ -9,9 +9,9 @@ redirecting fetch.
 
 The per-instruction work of a squash runs in two passes over the
 squashed ROB suffix, each in this frame: the ROB pop with the RAT
-rollback, and the register release (with its double-free check)
-together with the LSQ removal of loads and stores and the IQ slot
-count.
+rollback, and the register release (with its double-free check and
+the freed register's waiter lists) together with the LSQ removal of
+loads and stores and the IQ slot count.
 """
 
 from repro.isa.instruction import INST_BYTES
@@ -101,10 +101,12 @@ class SquashUnit:
 
         # 5. Free or reserve destination registers; drain LSQ entries
         #    and return the IQ slots of squashed instructions that were
-        #    dispatched into an IQ (at rename) and never issued. The
-        #    IQs skip the squashed entries themselves lazily. A scheme
-        #    may free registers from wants_preg (RI evicts an entry), so
-        #    each release happens in walk order, not batched.
+        #    dispatched into an IQ (at rename) and never issued. A freed
+        #    register's waiter lists go with it: every waiter is younger
+        #    than the writer, so squashed too. The IQs skip the other
+        #    squashed entries lazily. A scheme may free registers from
+        #    wants_preg (RI evicts an entry), so each release happens in
+        #    walk order, not batched.
         state = self.state
         wants_preg = self.wants_preg if request.kind == "branch" else None
         on_preg_freed = self.on_preg_freed
@@ -112,6 +114,8 @@ class SquashUnit:
         reg_states = regfile.states
         ready = regfile.ready
         free = regfile.free_list
+        int_waiting = self.int_iq.waiting
+        mem_waiting = self.mem_iq.waiting
         loads = self.lsq.loads
         stores = self.lsq.stores
         int_drained = mem_drained = 0
@@ -131,6 +135,8 @@ class SquashUnit:
                     reg_states[preg] = FREE
                     ready[preg] = False
                     free.append(preg)
+                    int_waiting.pop(preg, None)
+                    mem_waiting.pop(preg, None)
                     if on_preg_freed is not None:
                         on_preg_freed(preg)
             if not dyn.issued:

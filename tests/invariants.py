@@ -25,9 +25,11 @@ cycle and the first broken invariant:
 * **Issue queues.** Each queue's ``size`` equals a recount of its live
   (unsquashed) entries, which are exactly the ROB's dispatched,
   unissued instructions for that queue.
-* **Waiters.** No live waiter is listed under a ready register; each
-  waiter's ``wait_count`` equals the number of lists it sits in, and a
-  ready entry waits on nothing.
+* **Waiters.** No waiter list is keyed by a FREE register or by a
+  ready one (writeback pops a register's list, and the squash unit
+  drops the list of a register it frees); each live waiter's
+  ``wait_count`` equals the number of lists it sits in, and a ready
+  entry waits on nothing.
 * **LSQ.** ``lsq.loads`` and ``lsq.stores`` hold exactly the ROB's
   dispatched loads and stores, in seq order (store-to-load forwarding
   walks ``stores`` oldest first).
@@ -49,7 +51,7 @@ from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.obs.sinks import MetricsSink
 from repro.pipeline.core import O3Core
-from repro.pipeline.regfile import ARCH, IN_FLIGHT
+from repro.pipeline.regfile import ARCH, FREE, IN_FLIGHT
 
 _DEST = attrgetter("dest_preg")
 _AREG = attrgetter("dest_areg")
@@ -188,6 +190,7 @@ def _check_issue_queues(state, rob, bypassed):
         for iq, iq_kinds in ((state.int_iq, _INT_IQ_KINDS),
                              (state.mem_iq, _MEM_IQ_KINDS))}
     ready = state.regfile.ready
+    states = state.regfile.states
     for iq, want in expected.items():
         name = iq.name
         ready_live = list(filterfalse(_SQUASHED, iq.ready))
@@ -196,13 +199,17 @@ def _check_issue_queues(state, rob, bypassed):
             _fail(state, "waiters", "%s IQ: ready #%d has wait_count %d"
                   % (name, dyn.seq, dyn.wait_count))
         waiting = iq.waiting
-        # A ready register may keep a list of squashed waiters: its
-        # wakeup popped only the list of its earlier lifetime.
         for preg in compress(waiting, map(ready.__getitem__, waiting)):
             dyn = next(filterfalse(_SQUASHED, waiting[preg]), None)
             if dyn is not None:
                 _fail(state, "waiters", "%s IQ: #%d waits on p%d, which "
                       "is ready" % (name, dyn.seq, preg))
+            _fail(state, "waiters", "%s IQ: ready p%d keeps a list of %d "
+                  "squashed waiter(s)" % (name, preg, len(waiting[preg])))
+        for preg in waiting:
+            if states[preg] == FREE:
+                _fail(state, "waiters", "%s IQ: free p%d keeps a list of "
+                      "%d waiter(s)" % (name, preg, len(waiting[preg])))
         lists = collections.Counter(filterfalse(
             _SQUASHED, chain.from_iterable(waiting.values())))
         if list(map(_WAIT, lists)) != list(lists.values()):

@@ -1,26 +1,26 @@
 """Experiment harness plumbing."""
 
 from repro.analysis import (
-    run_workload, config_for, geomean_improvement, format_table,
+    run_workload, geomean_improvement, format_table,
     table2_storage, table4_synthesis,
 )
 from repro.analysis.experiments import speedup, distance_cdf, \
     multi_stream_fraction
 from repro.analysis.tables import pct
-from repro.harness import clear_memo
+from repro.harness import build_config, clear_memo
 import pytest
 
 
 def test_config_for():
-    assert config_for("baseline").mssr is None
-    mssr = config_for("mssr", streams=2, wpb=8, log=32)
+    assert build_config("baseline").mssr is None
+    mssr = build_config("mssr", streams=2, wpb=8, log=32)
     assert mssr.mssr.num_streams == 2
     assert mssr.mssr.wpb_entries == 8
     assert mssr.mssr.squash_log_entries == 32
-    ri = config_for("ri", sets=128, ways=2)
+    ri = build_config("ri", sets=128, ways=2)
     assert ri.ri.num_sets == 128 and ri.ri.assoc == 2
     with pytest.raises(ValueError):
-        config_for("quantum")
+        build_config("quantum")
 
 
 def test_run_workload_caches(tmp_path, monkeypatch):

@@ -44,7 +44,6 @@ def tmp_cache(tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    monkeypatch.delenv("REPRO_CONFIG", raising=False)
     return ResultCache(directory=str(cache_dir))
 
 
@@ -257,17 +256,30 @@ def test_cli_run_rejects_bad_set(tmp_cache, capsys):
     assert "core.width" in capsys.readouterr().err
 
 
-def test_cli_config_show_provenance(tmp_cache, monkeypatch):
+def test_cli_config_show_lists_the_kind_snapshot(tmp_cache, monkeypatch):
+    from repro.config.schema import model_keys
+    from repro.harness import SimJob
     monkeypatch.setenv("REPRO_JOBS", "4")
     out = io.StringIO()
-    rc = cli_main(["config", "show", "--provenance", "--set",
+    rc = cli_main(["config", "show", "--kind", "mssr", "--set",
                    "core.width=4"], out=out)
-    text = out.getvalue()
     assert rc == 0
-    assert "# env:REPRO_JOBS" in text
-    assert "# override" in text
-    assert "# default" in text
-    assert "# config hash:" in text
+    lines = out.getvalue().splitlines()
+    shown = dict(line.split(" = ") for line in lines if " = " in line)
+    assert sorted(shown) == sorted(model_keys("mssr"))
+    job = SimJob("bfs", "mssr", config={"core.width": 4})
+    assert {key: json.loads(value) for key, value in shown.items()} \
+        == job.resolved_config()
+    assert "# config hash: %s" % job.config_hash() in lines
+    # Set REPRO_* variables are reported after the snapshot; unset ones
+    # are not.
+    assert "# REPRO_JOBS=4 (4)" in lines
+    assert not any(line.startswith("# REPRO_FULL") for line in lines)
+    # Without a kind, every model section is shown.
+    out = io.StringIO()
+    assert cli_main(["config", "show"], out=out) == 0
+    assert sum(" = " in line for line in out.getvalue().splitlines()) \
+        == len(model_keys())
 
 
 def test_cli_config_hash_stable(tmp_cache):

@@ -1,15 +1,16 @@
-"""The layered configuration tree: schema, resolution, provenance,
-hashing and the env-var registry.
+"""Configuration: schema, job snapshots, hashing and the env-var
+registry.
 
 The two load-bearing invariants:
 
-* layer precedence is ``default < file < env < override``, and every
-  resolved value can say which layer set it;
-* job hashes are environment-independent — the env layer binds only to
-  runtime keys (``harness.*`` / ``perf.*``), which never enter the
-  canonical model snapshot.
+* a job's configuration is its snapshot — defaults plus explicit
+  overrides over the sections its kind activates — and ``config
+  show``/``config hash`` report exactly that snapshot;
+* job hashes are environment-independent — ``REPRO_*`` variables are
+  runtime settings and never enter a snapshot.
 """
 
+import io
 import json
 
 import pytest
@@ -17,9 +18,9 @@ import pytest
 from repro.config import envreg
 from repro.config.schema import (CONFIG_SCHEMA_VERSION, field, model_keys,
                                  schema, suggestion)
-from repro.config.tree import (LAYER_DEFAULT, LAYER_ENV, LAYER_FILE,
-                               LAYER_OVERRIDE, job_snapshot,
-                               parse_overrides, resolve, snapshot_hash)
+from repro.config.sweep import load_file, load_sweep
+from repro.config.tree import job_snapshot, parse_overrides, snapshot_hash
+from repro.harness.cli import main as cli_main
 from repro.harness.jobs import SimJob
 
 
@@ -30,7 +31,8 @@ def test_registry_covers_every_declared_variable():
     report = envreg.environment_report(env={})
     names = [var.name for var, _raw, _parsed in report]
     assert names == sorted(names)
-    assert "REPRO_JOBS" in names and "REPRO_CONFIG" in names
+    assert "REPRO_JOBS" in names
+    assert len(names) == 12
 
 
 def test_envreg_typed_parsing():
@@ -68,9 +70,9 @@ def test_schema_derived_from_dataclasses():
     from repro.pipeline.config import CoreConfig
     table = schema()
     assert table["core.width"].default == CoreConfig().width
-    assert table["mssr.num_streams"].model
-    assert not table["harness.jobs"].model
-    assert table["harness.jobs"].env == "REPRO_JOBS"
+    assert "mssr.num_streams" in table
+    assert "harness.jobs" not in table
+    assert list(table) == model_keys() and len(table) == 65
 
 
 def test_unknown_key_suggests_close_match():
@@ -100,8 +102,8 @@ def test_model_keys_per_kind():
     assert "mem.model" in baseline
     assert "mssr.num_streams" in mssr
     assert "ri.num_sets" not in mssr
-    assert "sampling.interval_insts" in model_keys(kind="mssr",
-                                                   sampled=True)
+    assert "sampling.interval_insts" not in mssr
+    assert "sampling.interval_insts" in model_keys()
     with pytest.raises(KeyError, match="unknown config kind"):
         model_keys(kind="msr")
 
@@ -112,58 +114,44 @@ def test_suggestion_helper():
 
 
 # ---------------------------------------------------------------------------
-# Layer precedence + provenance
+# Files and the environment
 # ---------------------------------------------------------------------------
-def test_layer_precedence_file_env_override():
-    tree = resolve(file={"core": {"width": 4}, "harness": {"jobs": 2}},
-                   env={"REPRO_JOBS": "6"},
-                   overrides=["core.width=2"])
-    # file < env for the runtime key both layers set:
-    assert tree["harness.jobs"] == 6
-    assert tree.provenance("harness.jobs").layer == LAYER_ENV
-    assert tree.provenance("harness.jobs").describe() == "env:REPRO_JOBS"
-    # file < override for the model key both layers set:
-    assert tree["core.width"] == 2
-    assert tree.provenance("core.width").layer == LAYER_OVERRIDE
-    # untouched keys stay at their default:
-    assert tree.provenance("core.rob_entries").layer == LAYER_DEFAULT
-
-
-def test_file_layer_provenance_records_source(tmp_path):
-    path = tmp_path / "cfg.toml"
-    path.write_text("[mssr]\nnum_streams = 2\n")
-    tree = resolve(file=str(path), env=False)
-    entry = tree.provenance("mssr.num_streams")
-    assert entry.value == 2
-    assert entry.layer == LAYER_FILE
-    assert str(path) in entry.describe()
-
-
 def test_malformed_file_layer_names_the_file(tmp_path):
+    """``load_file``, the one file reader, names a malformed file."""
     path = tmp_path / "bad.toml"
     path.write_text("[mssr]\nnum_streams = \n")
     with pytest.raises(ValueError, match="bad.toml"):
-        resolve(file=str(path), env=False)
+        load_file(str(path))
 
 
-def test_repro_config_names_the_file_layer(tmp_path):
-    path = tmp_path / "cfg.toml"
-    path.write_text("[core]\nwidth = 4\n")
-    tree = resolve(env={"REPRO_CONFIG": str(path)})
-    assert tree["core.width"] == 4
-    assert tree.provenance("core.width").layer == LAYER_FILE
+def test_unknown_file_key_fails_loudly(tmp_path):
+    path = tmp_path / "sweep.toml"
+    path.write_text('[sweep]\nworkloads = ["bfs"]\n[sweep.base]\n'
+                    'core.widht = 4\n[[scenario]]\nkind = "baseline"\n')
+    with pytest.raises(KeyError, match='did you mean "core.width"'):
+        load_sweep(str(path)).expand()
 
 
-def test_unknown_file_key_fails_loudly():
-    with pytest.raises(KeyError, match="core.width"):
-        resolve(file={"core": {"widht": 4}}, env=False)
+def _cli_config_hash(kind=None, sets=()):
+    argv = ["config", "hash"] + (["--kind", kind] if kind else [])
+    for pair in sets:
+        argv += ["--set", pair]
+    out = io.StringIO()
+    assert cli_main(argv, out=out) == 0
+    return out.getvalue().strip()
 
 
-def test_env_layer_cannot_set_model_keys():
-    """No REPRO_* variable binds to a model key, by construction."""
-    for key, spec in schema().items():
-        if spec.model:
-            assert spec.env is None, key
+def test_env_layer_cannot_set_model_keys(monkeypatch):
+    """Setting every REPRO_* variable changes no snapshot and no
+    ``config hash`` output."""
+    kinds = (None, "baseline", "mssr", "ri", "dir")
+    before = [(job_snapshot(kind), _cli_config_hash(kind))
+              for kind in kinds]
+    for name, var in envreg.REGISTRY.items():
+        if var.type != "path" and name != "REPRO_LOG_LEVEL":
+            monkeypatch.setenv(name, "1" if var.type == "bool" else "3")
+    assert [(job_snapshot(kind), _cli_config_hash(kind))
+            for kind in kinds] == before
 
 
 def test_parse_overrides_forms():
@@ -174,23 +162,26 @@ def test_parse_overrides_forms():
 
 
 # ---------------------------------------------------------------------------
-# Round-trip: resolved tree -> file -> resolved tree, same hash
+# Round-trip: job snapshot -> sweep file -> job, same hash
 # ---------------------------------------------------------------------------
 def test_canonical_snapshot_round_trips_through_a_file(tmp_path):
-    tree = resolve(env=False, overrides={"mssr.num_streams": 2,
-                                         "core.width": 4})
-    snapshot = tree.canonical(kind="mssr")
-    # Persist the snapshot as a JSON config file (nested form) and
-    # re-resolve with it as the file layer: same values, same hash.
+    job = SimJob("bfs", "mssr", 0.1, {"streams": 2},
+                 config={"core.width": 4})
+    snapshot = job.resolved_config()
+    # Persist the whole snapshot as a sweep file's base overrides
+    # (nested form) and expand it: same values, same hashes.
     nested = {}
     for key, value in snapshot.items():
         section, _dot, name = key.partition(".")
         nested.setdefault(section, {})[name] = value
     path = tmp_path / "snapshot.json"
-    path.write_text(json.dumps(nested))
-    again = resolve(file=str(path), env=False)
-    assert again.canonical(kind="mssr") == snapshot
-    assert again.config_hash(kind="mssr") == tree.config_hash(kind="mssr")
+    path.write_text(json.dumps({
+        "sweep": {"workloads": ["bfs"], "scale": 0.1, "base": nested},
+        "scenario": [{"name": "replay", "kind": "mssr"}]}))
+    (again,) = load_sweep(str(path)).expand().jobs
+    assert again.resolved_config() == snapshot
+    assert again.config_hash() == job.config_hash()
+    assert again.job_hash() == job.job_hash()
 
 
 def test_config_hash_is_order_independent_and_stable():
@@ -212,8 +203,12 @@ def test_job_snapshot_covers_all_active_model_keys():
 def test_job_snapshot_rejects_inactive_section_overrides():
     with pytest.raises(ValueError, match="no effect on kind"):
         job_snapshot("baseline", {"mssr.num_streams": 2})
-    with pytest.raises(ValueError, match="runtime key"):
+    # Runtime settings are environment variables, not keys.
+    with pytest.raises(KeyError,
+                       match="unknown configuration key 'harness.jobs'"):
         job_snapshot("mssr", {"harness.jobs": 4})
+    with pytest.raises(KeyError, match='did you mean "mssr.num_streams"'):
+        job_snapshot("mssr", {"mssr.num_stream": 4})
 
 
 def test_job_hash_is_environment_independent(monkeypatch):
@@ -242,13 +237,56 @@ def test_changed_default_changes_hash():
 
 
 def test_spec_embeds_snapshot_and_versions():
-    spec = SimJob("bfs", "mssr", 0.1, {"streams": 4}).spec()
-    assert spec["schema"] == CONFIG_SCHEMA_VERSION
+    job = SimJob("bfs", "mssr", 0.1, {"streams": 4})
+    assert job.job_hash() == "ddfa0fe6124a8e0fd233578b"     # schema v6
+    spec = job.spec()
+    assert spec["schema"] == CONFIG_SCHEMA_VERSION == 6
     assert spec["config"]["mssr.num_streams"] == 4
     assert "sampling" not in spec
     sampled = SimJob("bfs", "mssr", 0.1, sampling=True).spec()
     knobs = {key: value for key, value in sampled["sampling"]}
     assert knobs["interval_insts"] == 100000
+
+
+# ---------------------------------------------------------------------------
+# `config hash` prints the hash a job with the same overrides carries
+# ---------------------------------------------------------------------------
+#: ``config hash [--kind K] [--set core.width=4]`` outputs, pinned at
+#: schema v6: any change to a default, a key or the canonical form
+#: shows here.
+_PINNED_CONFIG_HASHES = {
+    (None, None): "074bb5400f394b037c76fb7f",
+    ("baseline", None): "5dfdcff6b4f0aa896b75aa74",
+    ("baseline", "core.width=4"): "41d3437c3c97ed09afc365bb",
+    ("mssr", None): "e1afc4a6c705d0a5cc7b60fd",
+    ("mssr", "core.width=4"): "0ae104ae2b8137f10f5677c5",
+    ("ri", None): "8bb96d4db2917adeec08973b",
+    ("ri", "core.width=4"): "a2b8af2ed21b1a22456542dc",
+    ("dir", None): "86c653282ad8399c5af33c7d",
+    ("dir", "core.width=4"): "7764851abd69fd3862f92c2c",
+}
+
+
+@pytest.mark.parametrize("kind,pair", sorted(_PINNED_CONFIG_HASHES,
+                                             key=str))
+def test_cli_config_hash_pinned(kind, pair):
+    sets = [pair] if pair else []
+    assert _cli_config_hash(kind, sets) \
+        == _PINNED_CONFIG_HASHES[(kind, pair)]
+
+
+@pytest.mark.parametrize("kind,sets", [
+    ("baseline", {"core.width": 4, "mem.model": "ported"}),
+    ("mssr", {"mssr.num_streams": 2, "mssr.rgid_bits": 8}),
+    ("ri", {"ri.num_sets": 128, "frontend.decoupled": True}),
+    ("dir", {"dir.assoc": 2, "core.rob_entries": 128}),
+])
+def test_cli_config_hash_is_the_job_config_hash(kind, sets):
+    pairs = ["%s=%s" % (key, json.dumps(value).strip('"'))
+             for key, value in sets.items()]
+    job = SimJob("bfs", kind, 0.1, config=sets)
+    assert _cli_config_hash(kind, pairs) == job.config_hash()
+    assert _cli_config_hash(kind) == SimJob("bfs", kind).config_hash()
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,6 @@ def test_group_jobs_shapes():
     from repro.harness.runner import group_jobs
 
     one_image = _mssr_grid("linear-mispred", (1, 2, 4))
-    # Singletons when sharing is off.
-    assert group_jobs(one_image, 4, shared=False) \
-        == [[job] for job in one_image]
     # One image over many slots fans out into per-slot chunks...
     groups = group_jobs(one_image, 4)
     assert [len(g) for g in groups] == [1, 1, 1]
@@ -318,27 +315,31 @@ def test_group_jobs_shapes():
 
 
 def test_shared_images_batched_equivalence_and_fewer_loads():
-    """Acceptance: batched and unbatched parallel runs produce
-    byte-identical stats for the same job hashes, and batching pays
-    strictly fewer program builds."""
+    """Acceptance: a grouped parallel batch produces byte-identical
+    stats to running each job on its own, and pays strictly fewer
+    program builds."""
+    from repro.workloads.registry import build_count
+
     jobs = _mssr_grid("linear-mispred", (1, 2, 3, 4))
 
     _clear_workload_caches("linear-mispred")
-    batched = run_batch(jobs, n_jobs=2, cache=False, memo=None,
-                        shared_images=True)
-    _clear_workload_caches("linear-mispred")
-    unbatched = run_batch(jobs, n_jobs=2, cache=False, memo=None,
-                          shared_images=False)
+    batched = run_batch(jobs, n_jobs=2, cache=False, memo=None)
+    # Per-job reference: every job builds its own program image.
+    reference = {}
+    before = build_count()
+    for job in jobs:
+        _clear_workload_caches("linear-mispred")
+        reference[job] = execute(job)
+    per_job_loads = build_count() - before
 
-    assert batched.executed == unbatched.executed == len(jobs)
+    assert batched.executed == len(jobs)
     for job in jobs:
         assert _stats_blob(batched.results[job]) == \
-            _stats_blob(unbatched.results[job])
-    # 4 jobs / 2 slots: 2 shared groups pay 2 builds; 4 singleton
-    # workers pay 4.
-    assert batched.groups == 2 and unbatched.groups == 4
+            _stats_blob(reference[job])
+    # 4 jobs / 2 slots: 2 shared groups pay 2 builds; per job, 4.
+    assert batched.groups == 2
     assert batched.program_loads == 2
-    assert unbatched.program_loads == 4
+    assert per_job_loads == 4
 
 
 def test_serial_path_counts_program_loads():
@@ -347,15 +348,6 @@ def test_serial_path_counts_program_loads():
     report = run_batch(jobs, n_jobs=1, cache=False, memo=None)
     assert report.groups == 1
     assert report.program_loads == 1    # one image, built once
-
-
-def test_shared_images_env_default(monkeypatch):
-    from repro.harness.runner import default_shared_images
-
-    monkeypatch.delenv("REPRO_SHARED_IMAGES", raising=False)
-    assert default_shared_images() is True
-    monkeypatch.setenv("REPRO_SHARED_IMAGES", "0")
-    assert default_shared_images() is False
 
 
 # ---------------------------------------------------------------------------

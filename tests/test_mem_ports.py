@@ -67,34 +67,6 @@ def test_fill_tracks_victim_and_counts():
     assert cache.last_victim_line is None
 
 
-def test_mru_replacement_policy():
-    cache = Cache("t", 128, 2, _LINE, 3, replacement="mru")
-    cache.fill(0)
-    cache.fill(2 * _LINE)
-    cache.lookup(0)                           # 0 is now most recent
-    cache.fill(4 * _LINE)                     # MRU evicts line 0
-    assert not cache.probe(0)
-    assert cache.probe(2 * _LINE)
-    assert cache.probe(4 * _LINE)
-
-
-def test_callable_replacement_policy():
-    # Evict the highest tag: invalid ways first, then by -tag.
-    cache = Cache("t", 128, 2, _LINE, 3,
-                  replacement=lambda line: (line.valid, -line.tag))
-    cache.fill(2 * _LINE)
-    cache.fill(6 * _LINE)
-    cache.fill(4 * _LINE)                     # evicts tag 6
-    assert cache.probe(2 * _LINE)
-    assert not cache.probe(6 * _LINE)
-    assert cache.probe(4 * _LINE)
-
-
-def test_unknown_replacement_policy_rejected():
-    with pytest.raises(ValueError, match="unknown replacement policy"):
-        Cache("t", 128, 2, _LINE, 3, replacement="fifo")
-
-
 def test_flush_returns_dirty_count():
     cache = Cache("t", 512, 2, _LINE, 3)
     cache.fill(0, dirty=True)

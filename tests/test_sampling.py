@@ -574,6 +574,25 @@ def test_cli_profile_and_simpoints(sandbox_stores):
     assert abs(sum(p["weight"] for p in payload["points"]) - 1.0) < 1e-9
 
 
+def test_cli_simpoints_rejects_warmup_flags(capsys):
+    """``simpoints`` takes only the sampling flags it reads; the warmup
+    flags belong to ``run --sampled``."""
+    from repro.harness.cli import _build_parser
+    for flag, attr in (("--warmup-mem", "warmup_mem"),
+                       ("--warmup-branches", "warmup_branches"),
+                       ("--detail-warmup", "detail_warmup")):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simpoints", "--workload", "linear-mispred", flag,
+                      "1"], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s 1" % flag \
+            in capsys.readouterr().err
+        args = _build_parser().parse_args(
+            ["run", "--workload", "linear-mispred", "--sampled", flag,
+             "1"])
+        assert getattr(args, attr) == 1
+
+
 def test_cli_run_sampled(sandbox_stores):
     out = io.StringIO()
     assert cli_main(["run", "--workload", "linear-mispred",
