@@ -18,7 +18,6 @@ _LAZY = {
     "field": ("repro.config.schema", "field"),
     "model_keys": ("repro.config.schema", "model_keys"),
     "job_snapshot": ("repro.config.tree", "job_snapshot"),
-    "snapshot_hash": ("repro.config.tree", "snapshot_hash"),
     "build_core_config": ("repro.config.tree", "build_core_config"),
     "build_reuse_scheme": ("repro.config.tree", "build_reuse_scheme"),
     "parse_overrides": ("repro.config.tree", "parse_overrides"),

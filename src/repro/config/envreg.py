@@ -78,11 +78,8 @@ REGISTRY = _declare(
            "Harness worker processes (0 = one per CPU; default 1 = "
            "serial)."),
     EnvVar("REPRO_CACHE_DIR", "path", None,
-           "On-disk result cache directory (default "
-           "~/.cache/repro-sim; 'off' disables caching)."),
-    EnvVar("REPRO_CKPT_DIR", "path", None,
-           "Sampling checkpoint store directory (default "
-           "<cache>/checkpoints; 'off' disables the store)."),
+           "On-disk store of results and sampling checkpoints (default "
+           "~/.cache/repro-sim; 'off' disables it)."),
     EnvVar("REPRO_TRACE", "path", None,
            "Directory: every executed job also writes a JSONL event "
            "trace there (workers included)."),

@@ -12,17 +12,7 @@ environment and any result file can be replayed from its embedded
 snapshot alone.
 """
 
-import hashlib
-import json
-
 from repro.config.schema import field, model_keys
-
-
-def snapshot_hash(snapshot):
-    """Canonical 24-hex hash of a ``{key: value}`` snapshot (same
-    recipe as :meth:`repro.harness.jobs.SimJob.job_hash`)."""
-    blob = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
 
 
 def parse_overrides(pairs):
@@ -125,5 +115,5 @@ def build_reuse_scheme(kind, overrides=()):
 
 __all__ = [
     "build_core_config", "build_reuse_scheme", "job_snapshot",
-    "parse_overrides", "snapshot_hash",
+    "parse_overrides",
 ]

@@ -1,33 +1,38 @@
-"""On-disk result cache for simulation jobs.
+"""The on-disk store: simulation results and sampling checkpoints.
 
-Results are stored one JSON file per job under
-``<cache dir>/<code fingerprint>/<shard>/<job hash>.json``, where the
-shard is the first two hex digits of the job hash. Sharding keeps
-directory listings bounded (256 buckets per fingerprint) so a store
-holding millions of cached points stays fast to look up and to walk —
-a flat directory with 10^6+ entries makes every ``os.listdir`` and
-every cold ``open`` crawl. The fingerprint hashes every ``.py`` source
-file in the ``repro`` package, so editing the simulator (or a
-workload) automatically invalidates all cached results without any
-manual versioning.
+Every entry is one JSON file at
+``<store dir>/<code fingerprint>/<shard>/<key>.json``, where the key is
+a :func:`~repro.utils.hashing.canonical_hash` and the shard its first
+two hex digits. Sharding keeps directory listings bounded (256 buckets
+per fingerprint) so a store holding millions of entries stays fast to
+look up and to walk — a flat directory with 10^6+ entries makes every
+``os.listdir`` and every cold ``open`` crawl. The fingerprint hashes
+every ``.py`` source file in the ``repro`` package, so editing the
+simulator (or a workload) automatically invalidates every entry
+without any manual versioning.
 
-The cache directory defaults to ``$XDG_CACHE_HOME/repro-sim`` (or
+:class:`Store` owns the layout, the counters, the walks and pruning.
+Two thin formats sit on it, in the same directory: :class:`ResultCache`
+(one job's stats in an envelope that embeds the job's snapshot) and
+:class:`repro.sampling.checkpoint.CheckpointStore` (the sampler's
+simpoint selection and checkpoints for one program).
+
+The directory defaults to ``$XDG_CACHE_HOME/repro-sim`` (or
 ``~/.cache/repro-sim``) and is overridable via ``REPRO_CACHE_DIR``.
 Setting ``REPRO_CACHE_DIR`` to ``0``, ``off`` or the empty string
-disables disk caching entirely.
+disables the store entirely.
 
-All I/O failures degrade to cache misses — a broken or read-only cache
-never breaks an experiment, it only costs re-simulation.
+All I/O failures degrade to misses — a broken or read-only store never
+breaks an experiment, it only costs re-simulation.
 """
 
 import hashlib
 import json
 import os
 import tempfile
+import time
 
 from repro.config import envreg
-
-_DISABLE_VALUES = envreg.DISABLE_VALUES
 
 _FINGERPRINT = None
 
@@ -79,94 +84,17 @@ def default_cache_dir():
     return os.path.join(base, "repro-sim")
 
 
-#: Hex digits of the job hash used as the shard directory name.
-SHARD_CHARS = 2
-
-
-def shard_of(key):
-    """Shard directory name for one entry key (2-hex hash prefix)."""
-    return key[:SHARD_CHARS]
-
-
-def _is_shard_dir(name):
-    """True for 2-hex shard directory names (``a3``, ``0f``, ...)."""
-    if len(name) != SHARD_CHARS:
-        return False
-    try:
-        int(name, 16)
-    except ValueError:
-        return False
-    return True
-
-
-def iter_entries(sub):
-    """Yield ``(name, path)`` for every JSON entry under one
-    fingerprint directory: sharded entries plus flat ones (the
-    checkpoint store's layout, which stale result-cache fingerprints
-    may also hold). Unreadable paths are silently skipped, like every
-    cache I/O."""
-    try:
-        names = sorted(os.listdir(sub))
-    except OSError:
-        return
-    for name in names:
-        path = os.path.join(sub, name)
-        if name.endswith(".json"):
-            yield name, path
-        elif _is_shard_dir(name) and os.path.isdir(path):
-            try:
-                inner = sorted(os.listdir(path))
-            except OSError:
+def _walk(directory):
+    """Yield ``(path, size_bytes, mtime)`` for every ``*.json`` file at
+    any depth under ``directory``, so entries that older layouts left
+    behind stay visible to the orphan count and to pruning. Unreadable
+    paths are silently skipped, like every store I/O."""
+    for dirpath, dirnames, filenames in os.walk(directory):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith(".json"):
                 continue
-            for entry in inner:
-                if entry.endswith(".json"):
-                    yield entry, os.path.join(path, entry)
-
-
-def stale_fingerprints(directory, current):
-    """Fingerprint subdirectories of ``directory`` other than
-    ``current`` — entries under them were produced by older code or an
-    older hashing scheme and can never be served again. Returns
-    ``[(fingerprint, entries)]`` sorted by name. Directories without
-    entries are skipped: the default checkpoint store at
-    ``<cache>/checkpoints`` holds fingerprint directories, not
-    entries."""
-    out = []
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError:
-        return out
-    for name in names:
-        if name == current:
-            continue
-        sub = os.path.join(directory, name)
-        if not os.path.isdir(sub):
-            continue
-        count = sum(1 for _name, _path in iter_entries(sub))
-        if count:
-            out.append((name, count))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Store walking / writing / pruning, shared by every on-disk store with
-# the ``<root>/<fingerprint>/<key>.json`` layout (the result cache here
-# and the checkpoint store in :mod:`repro.sampling.checkpoint`).
-# ---------------------------------------------------------------------------
-def walk_store(directory):
-    """Yield ``(path, size_bytes, mtime)`` for every JSON entry under
-    every fingerprint subdirectory of ``directory`` — sharded and
-    flat entries alike (missing or unreadable paths are silently
-    skipped, like every cache I/O)."""
-    try:
-        fingerprints = sorted(os.listdir(directory))
-    except OSError:
-        return
-    for fingerprint in fingerprints:
-        sub = os.path.join(directory, fingerprint)
-        if not os.path.isdir(sub):
-            continue
-        for _name, path in iter_entries(sub):
+            path = os.path.join(dirpath, name)
             try:
                 info = os.stat(path)
             except OSError:
@@ -199,48 +127,11 @@ def write_json_atomic(path, payload):
         raise
 
 
-def prune_store(directory, max_age_days=None, max_bytes=None, now=None):
-    """Prune a ``<root>/<fingerprint>/<key>.json`` store.
-
-    Drops entries older than ``max_age_days`` first, then the oldest
-    remaining entries until the store fits in ``max_bytes``. Either
-    limit may be None (no limit). Returns the number of entries
-    removed; failures degrade to keeping the entry.
-    """
-    import time
-    now = time.time() if now is None else now
-    entries = sorted(walk_store(directory), key=lambda e: e[2])
-    removed = 0
-    kept = []
-    for path, size, mtime in entries:
-        if max_age_days is not None \
-                and now - mtime > max_age_days * 86400.0:
-            try:
-                os.unlink(path)
-                removed += 1
-                continue
-            except OSError:
-                pass
-        kept.append((path, size, mtime))
-    if max_bytes is not None:
-        total = sum(size for _path, size, _mtime in kept)
-        for path, size, _mtime in kept:  # oldest first
-            if total <= max_bytes:
-                break
-            try:
-                os.unlink(path)
-                removed += 1
-                total -= size
-            except OSError:
-                pass
-    return removed
-
-
-class ResultCache:
-    """JSON result store keyed by job hash + code fingerprint.
+class Store:
+    """JSON entries keyed by canonical hash under the code fingerprint.
 
     Tracks ``hits`` / ``misses`` / ``stores`` counters so tests (and the
-    batch runner's reports) can verify that a warm cache performs zero
+    batch runner's reports) can verify that a warm store performs zero
     new simulations.
     """
 
@@ -253,28 +144,123 @@ class ResultCache:
 
     @classmethod
     def from_env(cls):
-        """Cache configured by ``REPRO_CACHE_DIR`` (None if disabled)."""
+        """Store configured by ``REPRO_CACHE_DIR`` (None if disabled)."""
         enabled, directory = envreg.store_dir("REPRO_CACHE_DIR")
         if not enabled:
             return None
         return cls(directory=directory)
 
     # ------------------------------------------------------------------
-    def _path(self, job):
-        job_hash = job.job_hash()
-        return os.path.join(self.directory, self.fingerprint,
-                            shard_of(job_hash), job_hash + ".json")
+    def path(self, key):
+        """Where the entry for ``key`` lives under this fingerprint."""
+        return os.path.join(self.directory, self.fingerprint, key[:2],
+                            key + ".json")
 
-    def get(self, job):
-        """Stats dict for ``job``, or None on a miss."""
+    def load(self, key, field=None):
+        """The payload stored under ``key`` (or its ``field``), or None
+        on a miss: a missing, unreadable or malformed entry."""
         try:
-            with open(self._path(job), "r", encoding="utf-8") as handle:
-                stats = json.load(handle)["stats"]
+            with open(self.path(key), "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+            if field is not None:
+                payload = payload[field]
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
-        return stats
+        return payload
+
+    def save(self, key, payload):
+        """Persist ``payload`` under ``key``; failures are silently
+        ignored."""
+        try:
+            write_json_atomic(self.path(key), payload)
+        except OSError:
+            return
+        self.stores += 1
+
+    # ------------------------------------------------------------------
+    def census(self):
+        """``{fingerprint: (entries, bytes)}`` for every top-level
+        directory of the store that holds entries."""
+        out = {}
+        for path, size, _mtime in _walk(self.directory):
+            name = os.path.relpath(path, self.directory).split(os.sep)[0]
+            entries, total = out.get(name, (0, 0))
+            out[name] = (entries + 1, total + size)
+        return out
+
+    def entries(self):
+        """Number of entries stored under the current fingerprint."""
+        sub = os.path.join(self.directory, self.fingerprint)
+        return sum(1 for _entry in _walk(sub))
+
+    def orphaned(self):
+        """``(entries, fingerprints)`` stranded under fingerprints other
+        than the current one — entries from older code, an older
+        hashing scheme or an older layout that can never be served
+        again (``harness cache`` reports them; ``harness cache prune``
+        reclaims them)."""
+        stale = [entries for name, (entries, _bytes)
+                 in self.census().items() if name != self.fingerprint]
+        return sum(stale), len(stale)
+
+    def clear(self):
+        """Drop the current fingerprint's entries. Returns the number of
+        entries removed."""
+        removed = 0
+        sub = os.path.join(self.directory, self.fingerprint)
+        for path, _size, _mtime in list(_walk(sub)):
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                pass
+        return removed
+
+    def prune(self, max_age_days=None, max_bytes=None):
+        """Prune entries across *all* fingerprints (stale fingerprints
+        are exactly what pruning should reclaim first).
+
+        Drops entries older than ``max_age_days`` first, then the oldest
+        remaining entries until the store fits in ``max_bytes``. Either
+        limit may be None (no limit). Returns the number of entries
+        removed; failures degrade to keeping the entry.
+        """
+        now = time.time()
+        entries = sorted(_walk(self.directory), key=lambda e: e[2])
+        removed = 0
+        kept = []
+        for path, size, mtime in entries:
+            if max_age_days is not None \
+                    and now - mtime > max_age_days * 86400.0:
+                try:
+                    os.unlink(path)
+                    removed += 1
+                    continue
+                except OSError:
+                    pass
+            kept.append((path, size, mtime))
+        if max_bytes is not None:
+            total = sum(size for _path, size, _mtime in kept)
+            for path, size, _mtime in kept:  # oldest first
+                if total <= max_bytes:
+                    break
+                try:
+                    os.unlink(path)
+                    removed += 1
+                    total -= size
+                except OSError:
+                    pass
+        return removed
+
+
+class ResultCache(Store):
+    """Simulation results, one entry per job keyed by its job hash."""
+
+    def get(self, job):
+        """Stats dict for ``job``, or None on a miss."""
+        return self.load(job.job_hash(), "stats")
 
     def put(self, job, stats_dict):
         """Persist a result; failures are silently ignored.
@@ -284,52 +270,7 @@ class ResultCache:
         hash, so any row of any table is reproducible from the result
         file alone.
         """
-        try:
-            write_json_atomic(self._path(job),
-                              {"job": job.spec(),
-                               "job_hash": job.job_hash(),
-                               "config_hash": job.config_hash(),
-                               "stats": stats_dict})
-        except OSError:
-            return
-        self.stores += 1
-
-    # ------------------------------------------------------------------
-    def entries(self):
-        """Number of results stored for the current fingerprint."""
-        sub = os.path.join(self.directory, self.fingerprint)
-        return sum(1 for _name, _path in iter_entries(sub))
-
-    def prune(self, max_age_days=None, max_bytes=None):
-        """Prune old / excess entries across *all* fingerprints (stale
-        fingerprints are exactly what pruning should reclaim first).
-        Returns the number of entries removed."""
-        return prune_store(self.directory, max_age_days=max_age_days,
-                           max_bytes=max_bytes)
-
-    def total_bytes(self):
-        """Total size of every entry across all fingerprints."""
-        return sum(size for _path, size, _mtime
-                   in walk_store(self.directory))
-
-    def orphaned(self):
-        """``(entries, fingerprints)`` stranded under fingerprints other
-        than the current one — results from older code or an older
-        hashing scheme that can never be served again (``harness
-        cache`` reports them; ``harness cache prune`` reclaims
-        them)."""
-        stale = stale_fingerprints(self.directory, self.fingerprint)
-        return sum(count for _name, count in stale), len(stale)
-
-    def clear(self):
-        """Drop the current fingerprint's cached results. Returns the
-        number of entries removed."""
-        removed = 0
-        sub = os.path.join(self.directory, self.fingerprint)
-        for _name, path in list(iter_entries(sub)):
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        self.save(job.job_hash(), {"job": job.spec(),
+                                   "job_hash": job.job_hash(),
+                                   "config_hash": job.config_hash(),
+                                   "stats": stats_dict})

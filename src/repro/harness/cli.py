@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from repro.harness.cache import ResultCache, code_fingerprint
+from repro.harness.cache import Store
 from repro.harness.jobs import KIND_PARAMS, SimJob
 from repro.harness.runner import run_batch
 from repro.log import configure as configure_logging, get_logger
@@ -180,13 +180,12 @@ def _build_parser():
     lst.add_argument("--suite", help="restrict to one suite")
 
     cache = sub.add_parser(
-        "cache", help="inspect or prune the on-disk stores (results + "
+        "cache", help="inspect or prune the on-disk store (results and "
                       "checkpoints)")
     cache.add_argument("action", nargs="?", choices=("prune",),
-                       help="'prune' removes aged / excess entries from "
-                            "both stores")
+                       help="'prune' removes aged / excess entries")
     cache.add_argument("--clear", action="store_true",
-                       help="drop cached results for the current code "
+                       help="drop the entries of the current code "
                             "fingerprint")
     cache.add_argument("--max-age-days", type=float, default=None,
                        help="prune: drop entries older than this")
@@ -557,7 +556,8 @@ def _cmd_config(args, out):
         return 0
 
     from repro.config import envreg
-    from repro.config.tree import job_snapshot, snapshot_hash
+    from repro.config.tree import job_snapshot
+    from repro.utils.hashing import canonical_hash
     try:
         snapshot = job_snapshot(args.kind, _collect_overrides(args))
     except (KeyError, ValueError) as exc:
@@ -565,7 +565,7 @@ def _cmd_config(args, out):
         return 2
 
     if args.action == "hash":
-        out.write("%s\n" % snapshot_hash(snapshot))
+        out.write("%s\n" % canonical_hash(snapshot))
         return 0
     section = None
     for key in sorted(snapshot):
@@ -575,7 +575,7 @@ def _cmd_config(args, out):
             section = key.partition(".")[0]
             out.write("[%s]\n" % section)
         out.write("%s = %s\n" % (key, json.dumps(snapshot[key])))
-    out.write("\n# config hash: %s\n" % snapshot_hash(snapshot))
+    out.write("\n# config hash: %s\n" % canonical_hash(snapshot))
     for var, raw, parsed in envreg.environment_report():
         if raw is not None:
             out.write("# %s=%s (%s)\n" % (var.name, raw,
@@ -631,33 +631,26 @@ def _cmd_brchar(args, out):
 
 
 def _cmd_cache(args, out):
-    from repro.sampling.checkpoint import CheckpointStore
-
-    cache = ResultCache.from_env() or ResultCache()
-    store = CheckpointStore.from_env() or CheckpointStore()
+    store = Store.from_env() or Store()
     if args.clear:
-        removed = cache.clear()
-        out.write("removed %d cached result(s)\n" % removed)
+        out.write("removed %d entr(y/ies)\n" % store.clear())
     if args.action == "prune":
         if args.max_age_days is None and args.max_bytes is None:
             _log.error("prune needs --max-age-days and/or --max-bytes")
             return 2
-        removed = cache.prune(max_age_days=args.max_age_days,
-                              max_bytes=args.max_bytes)
-        out.write("pruned %d cached result(s)\n" % removed)
         removed = store.prune(max_age_days=args.max_age_days,
                               max_bytes=args.max_bytes)
-        out.write("pruned %d checkpoint entr(y/ies)\n" % removed)
-    out.write("cache dir   : %s\n" % cache.directory)
-    out.write("fingerprint : %s\n" % code_fingerprint())
-    out.write("entries     : %d (%d bytes)\n"
-              % (cache.entries(), cache.total_bytes()))
-    orphans, stale = cache.orphaned()
-    out.write("orphaned    : %d entr(y/ies) under %d stale "
-              "fingerprint(s)\n" % (orphans, stale))
-    out.write("ckpt dir    : %s\n" % store.directory)
-    out.write("ckpt entries: %d (%d bytes)\n"
-              % (store.entries(), store.total_bytes()))
+        out.write("pruned %d entr(y/ies)\n" % removed)
+    census = store.census()
+    entries, size = census.pop(store.fingerprint, (0, 0))
+    out.write("cache dir   : %s\n" % store.directory)
+    out.write("fingerprint : %s\n" % store.fingerprint)
+    out.write("entries     : %d (%d bytes)\n" % (entries, size))
+    out.write("orphaned    : %d entr(y/ies) (%d bytes) under %d stale "
+              "fingerprint(s)\n"
+              % (sum(count for count, _size in census.values()),
+                 sum(size for _count, size in census.values()),
+                 len(census)))
     return 0
 
 

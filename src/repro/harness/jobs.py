@@ -24,12 +24,12 @@ process-local state.
 """
 
 import dataclasses
-import hashlib
-import json
 import os
 import signal
 import threading
 from typing import Optional, Tuple
+
+from repro.utils.hashing import canonical_hash
 
 #: Short scheme parameter -> configuration key, per kind.
 KIND_PARAM_KEYS = {
@@ -136,8 +136,7 @@ class SimJob:
     def config_hash(self):
         """Stable hash of the resolved configuration snapshot alone
         (shared by every workload simulated under this configuration)."""
-        from repro.config.tree import snapshot_hash
-        return snapshot_hash(self.resolved_config())
+        return canonical_hash(self.resolved_config())
 
     def build_config(self):
         """The :class:`~repro.pipeline.config.CoreConfig` this job
@@ -186,10 +185,7 @@ class SimJob:
     def job_hash(self):
         cached = self.__dict__.get("_job_hash")
         if cached is None:
-            blob = json.dumps(self.spec(), sort_keys=True,
-                              separators=(",", ":"))
-            cached = hashlib.sha256(blob.encode("utf-8")) \
-                .hexdigest()[:24]
+            cached = canonical_hash(self.spec())
             object.__setattr__(self, "_job_hash", cached)
         return cached
 
@@ -311,10 +307,10 @@ def execute(job, obs=None):
 
     Jobs with a ``sampling`` spec route through
     :func:`repro.sampling.sampler.run_sampled` instead of a full
-    detailed run; their checkpoints persist in the
-    :class:`~repro.sampling.checkpoint.CheckpointStore`
-    (``REPRO_CKPT_DIR``), keyed by (workload, scale, sampling spec)
-    only, so every configuration kind of the same program shares them.
+    detailed run; their checkpoints persist beside the results in the
+    store ``REPRO_CACHE_DIR`` names, keyed by (workload, scale, sampling
+    spec) only, so every configuration kind of the same program shares
+    them.
     """
     from repro.pipeline.core import O3Core
     from repro.workloads import get_workload

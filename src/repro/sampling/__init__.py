@@ -11,8 +11,8 @@ experiment; this subsystem replaces them with a few representative
   selection) picks representative intervals and weights;
 * :mod:`repro.sampling.checkpoint` — architectural checkpoints
   (regs/pc/memory delta + functional warmup traces) captured by
-  fast-forwarding the emulator, persisted in an on-disk store keyed
-  like the harness result cache (``REPRO_CKPT_DIR``);
+  fast-forwarding the emulator, persisted beside the cached results in
+  the harness store (``REPRO_CACHE_DIR``);
 * :mod:`repro.sampling.sampler` — restores checkpoints into the
   detailed pipeline (initial-state injection + frontend/cache warmup),
   runs each interval for its instruction budget, and aggregates
@@ -33,8 +33,6 @@ from repro.sampling.checkpoint import (
     Checkpoint,
     CheckpointStore,
     capture_checkpoints,
-    default_checkpoint_dir,
-    spec_key,
 )
 from repro.sampling.sampler import (
     IntervalRun,
@@ -63,8 +61,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointStore",
     "capture_checkpoints",
-    "default_checkpoint_dir",
-    "spec_key",
     "SamplingSpec",
     "SampledResult",
     "IntervalRun",

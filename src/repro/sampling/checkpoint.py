@@ -9,25 +9,17 @@ functionally through the branch predictors, BTB, RAS and cache
 hierarchy before cycle 0 so the sampled interval does not start from
 glacially cold microarchitectural state.
 
-Checkpoints are JSON-serialisable and persist in a
-:class:`CheckpointStore` laid out exactly like the harness result cache
-(``<dir>/<code fingerprint>/<key>.json``, ``REPRO_CKPT_DIR``), sharing
-its store-walking and pruning helpers.
+Checkpoints are JSON-serialisable and persist through
+:class:`CheckpointStore`, a format over the harness store
+(:class:`repro.harness.cache.Store`): they sit beside the cached
+results, under the same directory and code fingerprint.
 """
 
 import collections
-import hashlib
-import json
-import os
 
 from repro.emu.emulator import Emulator
-from repro.harness.cache import (
-    code_fingerprint,
-    default_cache_dir,
-    prune_store,
-    walk_store,
-    write_json_atomic,
-)
+from repro.harness.cache import Store
+from repro.harness.cache import code_fingerprint  # noqa: F401  (re-export)
 from repro.pipeline.core import InitialState
 
 #: Default warmup trace depths.
@@ -118,82 +110,16 @@ def capture_checkpoints(program, boundaries,
 # ---------------------------------------------------------------------------
 # On-disk store
 # ---------------------------------------------------------------------------
-def spec_key(spec):
-    """Canonical 24-hex key for a JSON-able spec dict (same recipe as
-    :meth:`repro.harness.jobs.SimJob.job_hash`)."""
-    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:24]
-
-
-def default_checkpoint_dir():
-    return os.path.join(default_cache_dir(), "checkpoints")
-
-
-class CheckpointStore:
-    """JSON blob store keyed by spec hash + code fingerprint.
-
-    The second on-disk store next to the harness result cache, with the
-    same layout, environment override (``REPRO_CKPT_DIR``), miss-on-
-    any-failure semantics and shared pruning helpers. Values are plain
-    JSON dicts — the sampler persists the simpoint selection plus the
-    captured checkpoints for one (program, sampling spec) as a single
-    entry, so a warm store skips both emulator passes.
-    """
-
-    def __init__(self, directory=None, fingerprint=None):
-        self.directory = directory or default_checkpoint_dir()
-        self.fingerprint = fingerprint or code_fingerprint()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @classmethod
-    def from_env(cls):
-        """Store configured by ``REPRO_CKPT_DIR`` (None if disabled)."""
-        from repro.config import envreg
-        enabled, directory = envreg.store_dir("REPRO_CKPT_DIR")
-        if not enabled:
-            return None
-        return cls(directory=directory)
-
-    def _path(self, key):
-        return os.path.join(self.directory, self.fingerprint,
-                            key + ".json")
+class CheckpointStore(Store):
+    """The sampler's entries in the harness store: for one (program,
+    sampling spec) the simpoint selection plus the captured
+    checkpoints, as one plain JSON dict, so a warm store skips both
+    emulator passes."""
 
     def get(self, key):
         """Payload dict for ``key``, or None on a miss."""
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+        return self.load(key)
 
     def put(self, key, payload):
         """Persist a payload dict; failures are silently ignored."""
-        try:
-            write_json_atomic(self._path(key), payload)
-        except OSError:
-            return
-        self.stores += 1
-
-    # ------------------------------------------------------------------
-    def entries(self):
-        """Entry count for the current fingerprint."""
-        try:
-            names = os.listdir(os.path.join(self.directory,
-                                            self.fingerprint))
-        except OSError:
-            return 0
-        return sum(1 for name in names if name.endswith(".json"))
-
-    def total_bytes(self):
-        return sum(size for _path, size, _mtime
-                   in walk_store(self.directory))
-
-    def prune(self, max_age_days=None, max_bytes=None):
-        """Prune old / excess entries across all fingerprints."""
-        return prune_store(self.directory, max_age_days=max_age_days,
-                           max_bytes=max_bytes)
+        self.save(key, payload)

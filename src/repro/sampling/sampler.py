@@ -47,7 +47,6 @@ from repro.sampling.checkpoint import (
     DEFAULT_WARMUP_MEM,
     Checkpoint,
     capture_checkpoints,
-    spec_key,
 )
 from repro.sampling.simpoint import (
     DEFAULT_DIMS,
@@ -55,6 +54,7 @@ from repro.sampling.simpoint import (
     SimPointSelection,
     pick_simpoints,
 )
+from repro.utils.hashing import canonical_hash
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,11 +296,11 @@ def aggregate_stats(runs, total_insts):
 # ---------------------------------------------------------------------------
 # Selection, checkpoints and one interval
 # ---------------------------------------------------------------------------
-def _prepare(program, spec, store, key_spec, max_insts):
+def _prepare(program, spec, store, key_spec):
     """Selection + checkpoints, through the store when one is given."""
     key = None
     if store is not None and key_spec is not None:
-        key = spec_key({"sampling": spec.spec(), "target": key_spec})
+        key = canonical_hash({"sampling": spec.spec(), "target": key_spec})
         payload = store.get(key)
         if payload is not None:
             selection = SimPointSelection.from_dict(payload["selection"])
@@ -309,8 +309,7 @@ def _prepare(program, spec, store, key_spec, max_insts):
                 for boundary, data in payload["checkpoints"].items()}
             return selection, checkpoints, payload["total_insts"]
 
-    profile = profile_program(program, spec.interval_insts,
-                              max_insts=max_insts)
+    profile = profile_program(program, spec.interval_insts)
     selection = pick_simpoints(profile, max_k=spec.max_k, dims=spec.dims,
                                seed=spec.seed)
     boundaries = {max(0, p.start_inst - spec.detail_warmup_insts)
@@ -470,8 +469,7 @@ def _run_shares(run_share, n_shares):
 # The sampled run
 # ---------------------------------------------------------------------------
 def run_sampled(program, config=None, scheme_factory=None, spec=None,
-                obs=None, max_cycles=None, store=None, key_spec=None,
-                max_insts=50_000_000):
+                obs=None, max_cycles=None, store=None, key_spec=None):
     """Run a SimPoint-sampled detailed simulation of ``program``.
 
     ``scheme_factory`` builds a fresh reuse scheme per interval (scheme
@@ -490,7 +488,7 @@ def run_sampled(program, config=None, scheme_factory=None, spec=None,
     """
     spec = SamplingSpec.from_any(spec) or SamplingSpec()
     selection, checkpoints, total_insts = _prepare(
-        program, spec, store, key_spec, max_insts)
+        program, spec, store, key_spec)
     points = selection.points
     n_shares = interval_workers(len(points), obs) + 1
 

@@ -19,9 +19,10 @@ from repro.config import envreg
 from repro.config.schema import (CONFIG_SCHEMA_VERSION, field, model_keys,
                                  schema, suggestion)
 from repro.config.sweep import load_file, load_sweep
-from repro.config.tree import job_snapshot, parse_overrides, snapshot_hash
+from repro.config.tree import job_snapshot, parse_overrides
 from repro.harness.cli import main as cli_main
 from repro.harness.jobs import SimJob
+from repro.utils.hashing import canonical_hash
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ def test_registry_covers_every_declared_variable():
     names = [var.name for var, _raw, _parsed in report]
     assert names == sorted(names)
     assert "REPRO_JOBS" in names
-    assert len(names) == 12
+    assert len(names) == 11
 
 
 def test_envreg_typed_parsing():
@@ -185,8 +186,8 @@ def test_canonical_snapshot_round_trips_through_a_file(tmp_path):
 
 
 def test_config_hash_is_order_independent_and_stable():
-    a = snapshot_hash({"core.width": 8, "mssr.num_streams": 4})
-    b = snapshot_hash({"mssr.num_streams": 4, "core.width": 8})
+    a = canonical_hash({"core.width": 8, "mssr.num_streams": 4})
+    b = canonical_hash({"mssr.num_streams": 4, "core.width": 8})
     assert a == b and len(a) == 24
 
 

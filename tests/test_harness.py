@@ -395,13 +395,11 @@ def test_cli_list_and_cache(tmp_cache, capsys):
 # Sharded cache layout and orphan accounting
 # ---------------------------------------------------------------------------
 def test_put_writes_sharded_layout(tmp_cache):
-    from repro.harness.cache import shard_of
-
     job = SimJob("linear-mispred", "baseline", _SCALE)
     tmp_cache.put(job, {"ipc": 1.0})
     job_hash = job.job_hash()
     expected = (f"{tmp_cache.directory}/{tmp_cache.fingerprint}/"
-                f"{shard_of(job_hash)}/{job_hash}.json")
+                f"{job_hash[:2]}/{job_hash}.json")
     assert os.path.exists(expected)
     assert tmp_cache.entries() == 1
     assert tmp_cache.get(job) == {"ipc": 1.0}
@@ -414,7 +412,7 @@ def _result_store(directory):
     payload = {"job": job.spec(), "job_hash": job.job_hash(),
                "config_hash": job.config_hash(), "stats": stats}
     return (store, lambda: store.put(job, stats), lambda: store.get(job),
-            stats, store._path(job), payload)
+            stats, store.path(job.job_hash()), payload)
 
 
 def _checkpoint_store(directory):
@@ -425,14 +423,14 @@ def _checkpoint_store(directory):
                "name": "caf\u00e9", "mem": {"8": 1}}
     return (store, lambda: store.put("feedc0de", payload),
             lambda: store.get("feedc0de"), payload,
-            store._path("feedc0de"), payload)
+            store.path("feedc0de"), payload)
 
 
 @pytest.mark.parametrize("make", [_result_store, _checkpoint_store],
                          ids=["results", "checkpoints"])
 def test_store_put_writes_json_dumps_atomically(tmp_path, make,
                                                   monkeypatch):
-    """Both on-disk stores publish through one atomic writer: the file
+    """Both entry formats publish through one atomic writer: the file
     holds exactly ``json.dumps(payload, sort_keys=True)`` and reads
     back, and a failed write leaves neither an entry nor a temporary
     file."""
@@ -457,38 +455,74 @@ def test_store_put_writes_json_dumps_atomically(tmp_path, make,
     assert leftovers == []
 
 
+def _write_entry(path, payload):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
 def test_prune_and_orphans_walk_shards(tmp_cache):
     job = SimJob("linear-mispred", "baseline", _SCALE)
     tmp_cache.put(job, {"ipc": 1.0})
-    # A stale fingerprint with one sharded and one flat entry.
+    # A stale fingerprint with one sharded and one flat entry, and a
+    # checkpoint tree of the former ``<cache>/checkpoints`` layout.
     stale = os.path.join(tmp_cache.directory, "deadbeefdeadbeef")
-    os.makedirs(os.path.join(stale, "ab"), exist_ok=True)
     for path in (os.path.join(stale, "ab", "abcd.json"),
-                 os.path.join(stale, "1234.json")):
-        with open(path, "w") as fh:
-            json.dump({"stats": {}}, fh)
+                 os.path.join(stale, "1234.json"),
+                 os.path.join(tmp_cache.directory, "checkpoints",
+                              tmp_cache.fingerprint, "5678.json")):
+        _write_entry(path, {"stats": {}})
 
     orphans, stale_count = tmp_cache.orphaned()
-    assert orphans == 2 and stale_count == 1
-    # Age-based pruning reaches entries inside shard directories.
+    assert orphans == 3 and stale_count == 2
+    # Age-based pruning reaches entries at every depth.
     removed = tmp_cache.prune(max_age_days=0.0)
-    assert removed == 3
+    assert removed == 4
     assert tmp_cache.entries() == 0
+    assert tmp_cache.orphaned() == (0, 0)
 
 
 def test_default_checkpoint_store_is_not_an_orphan(tmp_path, monkeypatch):
-    """With default directories the checkpoint store lives at
-    ``<cache>/checkpoints``, beside the fingerprint directories; it
-    holds no result entries, so it is not a stale fingerprint."""
+    """With default directories a sampled batch leaves its result entry
+    and its checkpoint entry side by side under the current
+    fingerprint, so neither is a stale fingerprint."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CKPT_DIR", raising=False)
     job = SimJob("linear-mispred", "baseline", 0.2,
                  sampling={"interval_insts": 2000})
     clear_memo()
     assert run_batch([job]).executed == 1
 
     cache = ResultCache()
-    assert os.path.isdir(os.path.join(cache.directory, "checkpoints"))
-    assert cache.entries() == 1
+    assert cache.directory == str(tmp_path / "repro-sim")
+    assert os.listdir(cache.directory) == [cache.fingerprint]
+    assert cache.entries() == 2
     assert cache.orphaned() == (0, 0)
+    sub = os.path.join(cache.directory, cache.fingerprint)
+    fields = []
+    for dirpath, _dirs, names in os.walk(sub):
+        for name in names:
+            with open(os.path.join(dirpath, name)) as fh:
+                fields.append(sorted(json.load(fh)))
+    assert sorted(fields) == [["checkpoints", "selection", "total_insts"],
+                              ["config_hash", "job", "job_hash", "stats"]]
+
+
+def test_cli_cache_reports_current_and_orphaned_bytes(tmp_cache):
+    """``harness cache`` prints the current fingerprint's entries with
+    their own bytes and the orphaned entries with theirs."""
+    job = SimJob("linear-mispred", "baseline", _SCALE)
+    tmp_cache.put(job, {"ipc": 1.0})
+    current = os.path.getsize(tmp_cache.path(job.job_hash()))
+    stale = os.path.join(tmp_cache.directory, "deadbeefdeadbeef", "ab",
+                         "abcd.json")
+    _write_entry(stale, {"stats": {"pad": "x" * 5000}})
+    orphan = os.path.getsize(stale)
+    assert orphan != current
+
+    out = io.StringIO()
+    assert cli_main(["cache"], out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert "entries     : 1 (%d bytes)" % current in lines
+    assert ("orphaned    : 1 entr(y/ies) (%d bytes) under 1 stale "
+            "fingerprint(s)" % orphan) in lines

@@ -11,7 +11,7 @@ import pytest
 
 from repro.emu import Emulator
 from repro.emu.emulator import BBVAccumulator
-from repro.harness import SimJob, execute, run_batch
+from repro.harness import SimJob, clear_memo, execute, run_batch
 from repro.harness.cli import main as cli_main
 from repro.harness.jobs import JobTimeout, _WallClock, build_config
 from repro.obs import CallbackSink, Observability
@@ -50,9 +50,8 @@ def micro_programs():
 
 @pytest.fixture
 def sandbox_stores(tmp_path, monkeypatch):
-    """Keep both on-disk stores inside the test tmpdir."""
+    """Keep the on-disk store inside the test tmpdir."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.setenv("REPRO_CKPT_DIR", str(tmp_path / "ckpt"))
     return tmp_path
 
 
@@ -245,15 +244,49 @@ def test_checkpoint_store_roundtrip(sandbox_stores):
     assert store.get("deadbeef") is None
     store.put("deadbeef", {"hello": [1, 2, 3]})
     assert store.get("deadbeef") == {"hello": [1, 2, 3]}
+    assert os.path.isfile(os.path.join(
+        str(sandbox_stores / "cache"), store.fingerprint, "de",
+        "deadbeef.json"))
     assert store.entries() == 1
-    assert store.total_bytes() > 0
+    ((entries, size),) = store.census().values()
+    assert entries == 1 and size > 0
     assert store.prune(max_age_days=0) == 1
     assert store.entries() == 0
 
 
-def test_checkpoint_store_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_CKPT_DIR", "off")
+def test_checkpoint_store_disabled_by_env(tmp_path, monkeypatch):
+    """``REPRO_CACHE_DIR=off`` disables checkpoints and results alike:
+    a sampled batch then writes nothing, not even under the default
+    cache directory."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("REPRO_CACHE_DIR", "off")
     assert CheckpointStore.from_env() is None
+    job = SimJob("linear-mispred", "baseline", 0.2,
+                 sampling={"interval_insts": 2000})
+    clear_memo()
+    assert run_batch([job]).executed == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_checkpoint_keys_are_pinned():
+    """Checkpoint keys are the canonical hash of ``{"sampling": spec,
+    "target": key_spec}``; these are the keys of SimPoint-sampled leela
+    and xz at scale 16 with ``interval_insts=10000, max_k=2``, so a
+    change to the key recipe strands every stored checkpoint and shows
+    here first."""
+
+    class KeyProbe:
+        def get(self, key):
+            raise LookupError(key)
+
+    prog = get_workload("linear-mispred").build(0.05)[1]
+    spec = SamplingSpec(interval_insts=10000, max_k=2)
+    for workload, key in (("leela", "8b5f588fba1f2618786c5c20"),
+                          ("xz", "f588c553f25d5b2e5c8172a2")):
+        with pytest.raises(LookupError) as exc:
+            run_sampled(prog, spec=spec, store=KeyProbe(),
+                        key_spec={"workload": workload, "scale": 16.0})
+        assert exc.value.args == (key,)
 
 
 # ---------------------------------------------------------------------------

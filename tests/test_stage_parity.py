@@ -108,6 +108,12 @@ def test_ported_memory_stats_byte_identical(entry):
 #: whose history windows rarely repeat, under the default TAGE-SC-L and
 #: standalone TAGE (``core.predictor=tage``), and leela on a decoupled
 #: frontend, whose squashes restore history from flushed FTQ blocks.
+#: Last, RI with a table small enough to evict (bfs at 0.1 with 2 sets
+#: of 1 way, leela at 0.03 with 1 of 1): there an entry evicted by
+#: ``wants_preg`` during a squash's ROB walk frees its register in the
+#: middle of the walk, so these two pin the squash unit's walk-order
+#: release; batching the frees after the walk changes
+#: ``ri_replacements`` in both.
 _SCHEME_PINNED = json.loads(
     (pathlib.Path(__file__).parent / "data"
      / "scheme_parity_pinned.json").read_text())
@@ -149,6 +155,9 @@ def test_scheme_pins_cover_their_paths():
     assert decoupled["cond_mispredicts"] > 0
     assert decoupled["ftq_enqueues"] > 0
     assert decoupled != by[("leela", "baseline", ())]
+    for workload in ("bfs", "leela"):
+        small = by[(workload, "ri", ("ri.assoc", "ri.num_sets"))]
+        assert small["ri_replacements"] > 0
 
 
 # ---------------------------------------------------------------------------
