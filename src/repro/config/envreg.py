@@ -87,8 +87,9 @@ REGISTRY = _declare(
            "Logging level for the repro.* hierarchy (DEBUG, INFO, "
            "WARNING, ...)."),
     EnvVar("REPRO_SLOWPATH", "bool", False,
-           "Run the emulator's interpretive ISA oracle instead of its "
-           "predecoded and superblock paths (differential testing)."),
+           "Run every emulator instruction through its interpretive ISA "
+           "oracle, not only single steps and block residues "
+           "(differential testing)."),
     EnvVar("REPRO_LOCKSTEP", "bool", False,
            "Cosimulation tests check every commit against the emulator "
            "instead of only final state."),

@@ -4,6 +4,14 @@ This is the golden model: the out-of-order core (with or without squash
 reuse) must produce exactly the same final architectural registers and
 memory for every program. It can also record the committed dynamic trace,
 which the analysis tools use for branch statistics.
+
+It has two executors for the one ISA. :meth:`Emulator.run_until` runs
+every whole superblock it enters as one compiled function
+(:mod:`repro.isa.superblock`); the interpretive :meth:`Emulator._execute`
+runs every other instruction: :meth:`Emulator.step` (the lockstep
+checker's per-commit step), a pass's residue, and every instruction
+under ``REPRO_SLOWPATH=1``, which makes it the ISA oracle of
+differential runs.
 """
 
 import collections
@@ -64,8 +72,7 @@ def _sext32(value):
 class Emulator:
     """Sequential interpreter over a :class:`~repro.isa.program.Program`."""
 
-    def __init__(self, program, init_regs=None, sp=STACK_TOP,
-                 superblock=True):
+    def __init__(self, program, init_regs=None, sp=STACK_TOP):
         self.program = program
         self.memory = SparseMemory(program.initial_memory())
         self.regs = [0] * NUM_ARCH_REGS
@@ -84,18 +91,11 @@ class Emulator:
         self.last_branch_taken = None
         self.last_mem_addr = None
         self.last_mem_size = None
-        # Fast path: predecoded semantic closures, one dict.get per
-        # instruction (bounds check + decode collapsed). REPRO_SLOWPATH=1
-        # keeps the original interpretive _execute for differential runs.
+        # REPRO_SLOWPATH=1 interprets every instruction of run_until too.
         self._slow = slowpath_enabled()
-        self._pd_by_pc = program.predecode().by_pc
-        # Faster still: superblock dispatch, one call per straight-line
-        # block, for every run_until pass. The table is compiled on the
-        # first run_until, never here, so single-stepping users (the
-        # lockstep checker) do not pay for it. ``superblock=False``
-        # keeps the per-instruction closure path as the differential
-        # reference; slowpath disables both.
-        self._block_dispatch = superblock and not self._slow
+        # Superblock dispatch table, compiled on the first block pass and
+        # never here, so single-stepping users (the lockstep checker) do
+        # not pay for it.
         self._sb_by_pc = None
         # Instructions fully retired by the current superblock before it
         # raised (see the fault handler in repro.isa.superblock).
@@ -103,22 +103,32 @@ class Emulator:
 
     # ------------------------------------------------------------------
     def step(self):
-        """Execute one instruction; returns the executed Instruction."""
+        """Interpret one instruction; returns the executed Instruction."""
         if self.halted:
             raise EmulationError("program already halted")
-        if self._slow:
-            if not self.program.has_pc(self.pc):
-                raise EmulationError("pc %#x leaves the program" % self.pc)
-            inst = self.program.inst_at(self.pc)
-            self._execute(inst)
-            self.inst_count += 1
-            return inst
-        rec = self._pd_by_pc.get(self.pc)
-        if rec is None:
-            raise EmulationError("pc %#x leaves the program" % self.pc)
-        self.pc = rec.exec_fn(self, self.regs)
+        return self._interpret(None, None)
+
+    def _interpret(self, bbv, trace):
+        """Execute the instruction at ``pc`` through :meth:`_execute`;
+        returns it. Counts it in ``inst_count`` and under ``bbv``'s
+        leader, and appends its warmup record to ``trace``: the one
+        per-instruction step of :meth:`step`, of a block pass's residue
+        and of a slowpath run."""
+        pc = self.pc
+        try:
+            inst = self.program.inst_at(pc)
+        except KeyError:
+            raise EmulationError("pc %#x leaves the program" % pc) from None
+        self._execute(inst)
         self.inst_count += 1
-        return rec.inst
+        if trace is not None:
+            self._record(trace, pc, inst)
+        if bbv is not None:
+            counts = bbv.counts
+            counts[bbv.leader] = counts.get(bbv.leader, 0) + 1
+            if inst.is_branch:
+                bbv.leader = self.pc
+        return inst
 
     def _execute(self, inst):
         regs = self.regs
@@ -182,21 +192,22 @@ class Emulator:
         is an error).
 
         ``bbv`` (a :class:`BBVAccumulator`) counts every retired
-        instruction under its basic block's leader, in every dispatch
-        mode; a block that raises counts the prefix it retired.
+        instruction under its basic block's leader, whichever executor
+        ran it; a block that raises counts the prefix it retired.
 
         ``trace=(branches, mems)`` appends the checkpoint warmup records
         to two sinks (lists or deques): ``(pc, taken, target, flags)``
         per executed control instruction and ``(addr, is_write)`` per
         memory access, in program order.
         """
-        if not self._block_dispatch:
-            return self._run_steps(max_insts, bbv, trace)
+        if self._slow:
+            while not self.halted and self.inst_count < max_insts:
+                self._interpret(bbv, trace)
+            return self.halted
         table = self._sb_by_pc
         if table is None:
             table = self._sb_by_pc = self.program.superblocks().by_pc
         sb_get = table.get
-        get = self._pd_by_pc.get
         regs = self.regs
         if trace is not None:
             branch_append = trace[0].append
@@ -207,14 +218,13 @@ class Emulator:
         count = self.inst_count
         # Block-granular dispatch with the per-instruction state in
         # locals; inst_count (and the BBV leader) is committed back even
-        # when a block (or the bounds check) raises. Per-inst stepping
-        # covers the residue — pcs off the leader set (e.g. an indirect
-        # jump into a block's middle) and blocks that would overrun the
-        # budget.
+        # when a block (or the bounds check) raises. The residue (a pc
+        # off the leader set, e.g. an indirect jump into a block's
+        # middle, or a block that would overrun the budget) is
+        # interpreted.
         try:
             while not self.halted and count < max_insts:
-                pc = self.pc
-                blk = sb_get(pc)
+                blk = sb_get(self.pc)
                 if blk is not None and count + blk.length <= max_insts:
                     try:
                         if trace is None:
@@ -238,54 +248,21 @@ class Emulator:
                         if blk.ends_branch:
                             leader = self.pc
                     continue
-                rec = get(pc)
-                if rec is None:
-                    raise EmulationError("pc %#x leaves the program" % pc)
-                self.pc = rec.exec_fn(self, regs)
-                count += 1
-                if trace is not None:
-                    self._record(trace, pc, rec.inst)
+                self.inst_count = count
                 if bbv is not None:
-                    counts[leader] = counts.get(leader, 0) + 1
-                    if rec.is_branch:
-                        leader = self.pc
+                    bbv.leader = leader
+                self._interpret(bbv, trace)
+                count += 1
+                if bbv is not None:
+                    leader = bbv.leader
         finally:
             self.inst_count = count
             if bbv is not None:
                 bbv.leader = leader
         return self.halted
 
-    def _run_steps(self, max_insts, bbv, trace):
-        """Per-instruction :meth:`run_until` (closure path or slowpath)."""
-        if bbv is None and trace is None and not self._slow:
-            get = self._pd_by_pc.get
-            regs = self.regs
-            count = self.inst_count
-            try:
-                while not self.halted and count < max_insts:
-                    rec = get(self.pc)
-                    if rec is None:
-                        raise EmulationError(
-                            "pc %#x leaves the program" % self.pc)
-                    self.pc = rec.exec_fn(self, regs)
-                    count += 1
-            finally:
-                self.inst_count = count
-            return self.halted
-        step = self.step
-        while not self.halted and self.inst_count < max_insts:
-            pc = self.pc
-            inst = step()
-            if trace is not None:
-                self._record(trace, pc, inst)
-            if bbv is not None:
-                bbv.counts[bbv.leader] = bbv.counts.get(bbv.leader, 0) + 1
-                if inst.is_branch:
-                    bbv.leader = self.pc
-        return self.halted
-
     def _record(self, trace, pc, inst):
-        """Append one executed instruction's warmup record (the
+        """Append one interpreted instruction's warmup record (the
         per-instruction twin of the traced superblocks)."""
         if inst.is_branch:
             trace[0].append((pc, 1 if self.last_branch_taken else 0,

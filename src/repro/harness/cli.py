@@ -49,7 +49,8 @@ def _build_parser():
     run.add_argument("--jobs", type=int, default=None,
                      help="worker processes (default: REPRO_JOBS or 1)")
     run.add_argument("--no-cache", action="store_true",
-                     help="bypass the on-disk result cache")
+                     help="bypass the on-disk store: results and sampling "
+                          "checkpoints alike")
     run.add_argument("--json", action="store_true", dest="as_json",
                      help="emit full stats as JSON instead of summaries")
     run.add_argument("--sampled", action="store_true",
@@ -77,7 +78,8 @@ def _build_parser():
     sweep.add_argument("--dry-run", action="store_true",
                        help="print the expanded plan without simulating")
     sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache")
+                       help="bypass the on-disk store: results and "
+                            "sampling checkpoints alike")
     sweep.add_argument("--json", action="store_true", dest="as_json",
                        help="emit full per-entry results as JSON")
 

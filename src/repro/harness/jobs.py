@@ -296,7 +296,7 @@ def _env_trace_obs(job):
                                                              directory))])
 
 
-def execute(job, obs=None):
+def execute(job, obs=None, store=None):
     """Run one job in this process; returns a fresh ``SimStats``.
 
     Workers (and the serial fallback) both come through here, so the
@@ -307,10 +307,11 @@ def execute(job, obs=None):
 
     Jobs with a ``sampling`` spec route through
     :func:`repro.sampling.sampler.run_sampled` instead of a full
-    detailed run; their checkpoints persist beside the results in the
-    store ``REPRO_CACHE_DIR`` names, keyed by (workload, scale, sampling
-    spec) only, so every configuration kind of the same program shares
-    them.
+    detailed run; their checkpoints persist in ``store`` (a
+    :class:`~repro.harness.cache.Store`, the batch's result cache;
+    ``False`` for none; ``None`` for the store ``REPRO_CACHE_DIR``
+    names), keyed by (workload, scale, sampling spec) only, so every
+    configuration kind of the same program shares them.
     """
     from repro.pipeline.core import O3Core
     from repro.workloads import get_workload
@@ -326,12 +327,20 @@ def execute(job, obs=None):
             if job.sampling is not None:
                 from repro.sampling.checkpoint import CheckpointStore
                 from repro.sampling.sampler import run_sampled
+                if store is None:
+                    checkpoints = CheckpointStore.from_env()
+                elif store is False:
+                    checkpoints = None
+                else:
+                    checkpoints = CheckpointStore(
+                        directory=store.directory,
+                        fingerprint=store.fingerprint)
                 result = run_sampled(
                     prog, config,
                     scheme_factory=job.build_scheme,
                     spec=job.sampling_spec, obs=obs,
                     max_cycles=job.max_cycles,
-                    store=CheckpointStore.from_env(),
+                    store=checkpoints,
                     key_spec={"workload": job.workload,
                               "scale": job.scale})
                 return result.stats

@@ -132,22 +132,23 @@ def group_jobs(jobs, n_slots):
     return groups
 
 
-def _run_one(job, timeout=None):
+def _run_one(job, timeout=None, store=None):
     """Execute one job; returns ``(job_hash, ok, payload)`` where the
     payload is a stats dict on success or a traceback string on error.
     Runs in pool workers and in the serial fallback alike. ``timeout``
     arms a wall-clock guard for jobs without their own
-    ``wall_seconds`` (which :func:`execute` already enforces)."""
+    ``wall_seconds`` (which :func:`execute` already enforces);
+    ``store`` is the batch's store, for sampled jobs' checkpoints."""
     from repro.harness.jobs import _WallClock
     try:
         with _WallClock(None if job.wall_seconds else timeout):
-            stats = execute(job)
+            stats = execute(job, store=store)
         return job.job_hash(), True, stats.as_dict()
     except Exception:
         return job.job_hash(), False, traceback.format_exc()
 
 
-def _group_worker(jobs, timeout, results, group_id):
+def _group_worker(jobs, timeout, store, results, group_id):
     """Entry point of one worker process: run a whole job group.
 
     The group shares this process's workload build cache, so the
@@ -161,7 +162,7 @@ def _group_worker(jobs, timeout, results, group_id):
     from repro.workloads.registry import build_count
     before = build_count()
     for job in jobs:
-        results.put(_run_one(job, timeout))
+        results.put(_run_one(job, timeout, store))
     results.put((("meta", group_id), True,
                  {"program_builds": build_count() - before}))
 
@@ -217,15 +218,17 @@ class ProcessPool:
 
     ``running`` maps job hash -> slot for every in-flight job.
     ``program_loads`` accumulates the real program-build counts the
-    workers report.
+    workers report. ``store`` is handed to every job the workers run
+    (see :func:`~repro.harness.jobs.execute`).
     """
 
     #: Parent-side slack on top of the in-worker SIGALRM guard.
     GRACE = 2.0
 
-    def __init__(self, n_jobs, job_timeout=None, ctx=None):
+    def __init__(self, n_jobs, job_timeout=None, ctx=None, store=None):
         self.n_jobs = max(1, int(n_jobs))
         self.job_timeout = job_timeout
+        self.store = store
         self.ctx = ctx or _pool_context()
         self.results = self.ctx.Queue()
         self.running = {}             # job_hash -> _Slot
@@ -256,7 +259,8 @@ class ProcessPool:
                 unbounded = True
         proc = self.ctx.Process(
             target=_group_worker,
-            args=(jobs, self.job_timeout, self.results, group_id),
+            args=(jobs, self.job_timeout, self.store, self.results,
+                  group_id),
             daemon=True)
         proc.start()
         deadline = None if unbounded \
@@ -368,7 +372,8 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
 
     ``n_jobs``: worker processes (defaults to ``REPRO_JOBS``, serial if
     unset). ``cache``: a :class:`ResultCache`, ``None`` for the
-    environment default, or ``False`` to disable disk caching.
+    environment default, or ``False`` to disable disk caching; sampled
+    jobs keep their checkpoints in the same store.
     ``progress``: optional callable ``(done, total, job, source)`` with
     source one of ``memo``/``disk``/``run``/``error``. ``strict``:
     raise :class:`JobFailure` if any job failed (otherwise failed jobs
@@ -378,7 +383,7 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
     global _LAST_REPORT
     jobs = list(jobs)
     if cache is None:
-        cache = ResultCache.from_env()
+        cache = ResultCache.from_env() or False
     n_jobs = n_jobs if n_jobs is not None else default_jobs()
     n_jobs = max(1, int(n_jobs))
 
@@ -447,7 +452,7 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
         timeout = default_job_timeout()
         if n_jobs > 1 and len(pending) > 1:
             pool = ProcessPool(min(n_jobs, len(groups)),
-                               job_timeout=timeout)
+                               job_timeout=timeout, store=cache)
             try:
                 backlog = iter(groups)
                 next_group = next(backlog, None)
@@ -465,7 +470,7 @@ def run_batch(jobs, n_jobs=None, cache=None, progress=None, strict=True,
             before = build_count()
             for group in groups:
                 for job in group:
-                    job_hash, ok, payload = _run_one(job, timeout)
+                    job_hash, ok, payload = _run_one(job, timeout, cache)
                     _absorb(job, job_hash, ok, payload)
             report.program_loads = build_count() - before
 

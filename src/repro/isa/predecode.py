@@ -1,32 +1,23 @@
 """Predecode layer: static instructions flattened for the hot paths.
 
-Both the functional emulator and the detailed core spend most of their
-time re-deriving the same per-instruction facts (`inst.info` attribute
-walks, ``op_class`` if/elif chains, ``to_unsigned(imm)``) on every
-dynamic instance of every static instruction. This module computes all
-of it exactly once per static instruction at :meth:`Program.predecode`
-time:
-
-* :class:`PDInst` — a ``__slots__`` record with the operand shape, the
-  register numbers, the pre-converted immediate, the memory size /
-  store mask, the functional-unit kind as a small int, and the
-  classification flags, so hot stages read plain attributes instead of
-  walking ``inst.info``.
-* ``exec_fn`` — a per-instruction *semantic closure* for the golden
-  model: ``exec_fn(emu, regs) -> next_pc`` performs the instruction's
-  architectural effect with every constant (register numbers, converted
-  immediate, fall-through pc, ALU function) bound at predecode time.
-  The closures are bit-identical to :meth:`Emulator._execute` by
-  construction, and the ``REPRO_SLOWPATH=1`` escape hatch keeps the
-  original interpretive path alive for differential testing.
+The detailed core and the superblock compiler would otherwise re-derive
+the same per-instruction facts (`inst.info` attribute walks,
+``op_class`` if/elif chains, ``to_unsigned(imm)``) on every dynamic
+instance or every use of every static instruction. This module computes
+all of it exactly once per static instruction at
+:meth:`Program.predecode` time: a :class:`PDInst` is a ``__slots__``
+record with the operand shape, the register numbers, the pre-converted
+immediate, the memory size / store mask, the functional-unit kind as a
+small int, and the classification flags, so hot stages read plain
+attributes instead of walking ``inst.info``.
 
 The records are pure functions of the static instruction, so a
 predecoded program can be cached on the :class:`Program` and shared by
-every emulator / core instance built from it.
+every core instance and the superblock table built from it.
 """
 
 from repro.isa.opcodes import Op, OpClass
-from repro.utils.bits import sext32, to_unsigned, wrap64
+from repro.utils.bits import to_unsigned
 
 #: Bumped whenever predecoded semantics change in a way that could alter
 #: results; folded into the harness cache fingerprint so cached results
@@ -79,7 +70,7 @@ class PDInst:
         "imm", "imm_u", "has_imm", "target",
         "writes_reg", "is_branch", "is_cond_branch", "is_indirect",
         "is_load", "is_store", "is_halt", "is_lw",
-        "mem_size", "store_mask", "alu_fn", "branch_fn", "exec_fn",
+        "mem_size", "store_mask", "alu_fn", "branch_fn",
     )
 
     def __repr__(self):
@@ -93,7 +84,7 @@ def predecode_inst(inst):
     :class:`~repro.isa.opcodes.OpInfo`; the property test in
     ``tests/test_predecode.py`` asserts the correspondence for every
     opcode in the ISA. Instructions without a placed ``pc`` (unit-test
-    constructions) get ``next_pc``/``exec_fn`` of None.
+    constructions) get a ``next_pc`` of None.
     """
     info = inst.info
     rec = PDInst()
@@ -124,131 +115,7 @@ def predecode_inst(inst):
     rec.store_mask = (1 << (info.mem_size * 8)) - 1 if info.mem_size else 0
     rec.alu_fn = info.alu_fn
     rec.branch_fn = info.branch_fn
-    rec.exec_fn = None if rec.next_pc is None else _build_exec(rec)
     return rec
-
-
-# ---------------------------------------------------------------------------
-# Golden-model semantic closures. Constants are bound as default
-# arguments (the fastest name lookup CPython offers); each closure
-# mirrors one arm of the original ``Emulator._execute`` exactly —
-# including evaluation order (jalr computes its target before writing
-# the link register, so ``jalr ra, ra`` stays correct) and the
-# ``last_branch_taken`` / ``last_mem_*`` observer fields.
-# ---------------------------------------------------------------------------
-def _build_exec(rec):
-    npc = rec.next_pc
-    kind = rec.kind
-
-    if kind == KIND_BRANCH:
-        if rec.is_cond_branch:
-            def run(emu, regs, _fn=rec.branch_fn, _s0=rec.src0,
-                    _s1=rec.src1, _t=rec.imm, _npc=npc):
-                taken = _fn(regs[_s0], regs[_s1])
-                emu.last_branch_taken = taken
-                return _t if taken else _npc
-            return run
-        if rec.op is Op.JAL:
-            if rec.writes_reg:
-                def run(emu, regs, _d=rec.dest, _t=rec.imm, _link=npc):
-                    regs[_d] = _link
-                    emu.last_branch_taken = True
-                    return _t
-            else:
-                def run(emu, regs, _t=rec.imm):
-                    emu.last_branch_taken = True
-                    return _t
-            return run
-        # jalr
-        if rec.writes_reg:
-            def run(emu, regs, _s0=rec.src0, _imm=rec.imm, _d=rec.dest,
-                    _link=npc):
-                target = wrap64(regs[_s0] + _imm) & ~1
-                regs[_d] = _link
-                emu.last_branch_taken = True
-                return target
-        else:
-            def run(emu, regs, _s0=rec.src0, _imm=rec.imm):
-                emu.last_branch_taken = True
-                return wrap64(regs[_s0] + _imm) & ~1
-        return run
-
-    if kind == KIND_LOAD:
-        # The access itself always happens (alignment checks must fire
-        # even for an x0-destination load); only the writeback is gated.
-        if rec.writes_reg:
-            if rec.is_lw:
-                def run(emu, regs, _s0=rec.src0, _imm=rec.imm,
-                        _d=rec.dest, _npc=npc):
-                    addr = wrap64(regs[_s0] + _imm)
-                    regs[_d] = sext32(emu.memory.read(addr, 4))
-                    emu.last_mem_addr = addr
-                    emu.last_mem_size = 4
-                    return _npc
-            else:
-                def run(emu, regs, _s0=rec.src0, _imm=rec.imm,
-                        _d=rec.dest, _size=rec.mem_size, _npc=npc):
-                    addr = wrap64(regs[_s0] + _imm)
-                    regs[_d] = emu.memory.read(addr, _size)
-                    emu.last_mem_addr = addr
-                    emu.last_mem_size = _size
-                    return _npc
-        else:
-            def run(emu, regs, _s0=rec.src0, _imm=rec.imm,
-                    _size=rec.mem_size, _npc=npc):
-                addr = wrap64(regs[_s0] + _imm)
-                emu.memory.read(addr, _size)
-                emu.last_mem_addr = addr
-                emu.last_mem_size = _size
-                return _npc
-        return run
-
-    if kind == KIND_STORE:
-        def run(emu, regs, _s0=rec.src0, _s1=rec.src1, _imm=rec.imm,
-                _size=rec.mem_size, _npc=npc):
-            addr = wrap64(regs[_s1] + _imm)
-            emu.memory.write(addr, regs[_s0], _size)
-            emu.last_mem_addr = addr
-            emu.last_mem_size = _size
-            return _npc
-        return run
-
-    if kind == KIND_HALT:
-        def run(emu, regs, _npc=npc):
-            emu.halted = True
-            return _npc
-        return run
-
-    if kind == KIND_NOP:
-        def run(emu, regs, _npc=npc):
-            return _npc
-        return run
-
-    # ALU / MUL / DIV. The functions are pure, so skipping the compute
-    # for an x0 destination is unobservable.
-    if rec.has_imm:
-        if not rec.writes_reg:
-            def run(emu, regs, _npc=npc):
-                return _npc
-        elif rec.num_srcs:
-            def run(emu, regs, _fn=rec.alu_fn, _d=rec.dest, _s0=rec.src0,
-                    _b=rec.imm_u, _npc=npc):
-                regs[_d] = _fn(regs[_s0], _b)
-                return _npc
-        else:  # lui
-            def run(emu, regs, _d=rec.dest, _b=rec.imm_u, _npc=npc):
-                regs[_d] = _b
-                return _npc
-        return run
-    if rec.writes_reg:
-        def run(emu, regs, _fn=rec.alu_fn, _d=rec.dest, _s0=rec.src0,
-                _s1=rec.src1, _npc=npc):
-            regs[_d] = _fn(regs[_s0], regs[_s1])
-            return _npc
-    else:
-        def run(emu, regs, _npc=npc):
-            return _npc
-    return run
 
 
 class PredecodedProgram:

@@ -1,15 +1,14 @@
 """Superblock trace-JIT: one compiled Python function per basic block.
 
-The predecode layer (:mod:`repro.isa.predecode`) collapsed decode into
-one dict lookup + one closure call *per instruction*. This module takes
-the next rung: it discovers every straight-line region of a program
-(single entry, ending at a branch/halt — the same block boundaries the
-BBV profiler derives dynamically) and *generates Python source* for the
-whole region, compiled once per static block, so the emulator's fast
-path becomes one dict lookup + one call per **block**.
+This module discovers every straight-line region of a program (single
+entry, ending at a branch/halt — the same block boundaries the BBV
+profiler derives dynamically) and *generates Python source* for the
+whole region from its predecoded records (:mod:`repro.isa.predecode`),
+compiled once per static block, so the emulator's fast path is one dict
+lookup + one call per **block**.
 
 The generated code is register-allocated and bit-identical to the
-per-instruction semantic closures:
+interpretive :meth:`~repro.emu.emulator.Emulator._execute`:
 
 * every register the block reads is a local, loaded once at entry, and
   ``x0`` is the literal 0; written registers go back to ``regs`` once
@@ -18,16 +17,15 @@ per-instruction semantic closures:
 * constants (converted immediates, fall-through pcs, masks) are inlined
   as literals; the ALU/branch functions of the rare ops without an
   inline template, the block's pc tuple and ``sext32`` are bound as
-  default arguments — the same "fastest CPython name lookup" trick
-  predecode uses;
+  default arguments, the fastest name lookup CPython offers;
 * common ALU/branch ops are emitted as inline expressions
   (``(a + b) & MASK64`` instead of a ``wrap64`` call); signed compares
   use the sign-flip trick (``(a ^ 2**63) < (b ^ 2**63)`` orders
   unsigned representations exactly like ``to_signed`` compares);
 * a naturally aligned 8-byte load or store indexes the memory's word
   dict (``SparseMemory.words``) directly. A misaligned one calls
-  ``SparseMemory.read``/``write``, which raise the per-instruction
-  path's ``ValueError``; sub-word accesses always call them;
+  ``SparseMemory.read``/``write``, which raise the interpreter's
+  ``ValueError``; sub-word accesses always call them;
 * the observer fields (``last_mem_addr``, ``last_mem_size``,
   ``last_branch_taken``) are written once per exit, with what the
   block's last access and closing branch left: per-instruction
@@ -45,10 +43,10 @@ per-instruction semantic closures:
 
 Every emulator pass dispatches through these blocks, and BBV profiling
 counts them inside the dispatch loop (``Emulator.run_until(...,
-bbv=...)``). Per-instruction stepping covers only the residue: block
-exits that land off the leader set (e.g. an indirect jump into the
-middle of a block), unknown PCs, a remaining instruction budget that
-cannot fit a whole block, and ``REPRO_SLOWPATH``.
+bbv=...)``). The interpreter covers only the residue: block exits that
+land off the leader set (e.g. an indirect jump into the middle of a
+block), unknown PCs and a remaining instruction budget that cannot fit
+a whole block; ``REPRO_SLOWPATH=1`` interprets every instruction.
 
 Each block also has a *traced* variant, compiled lazily the first time
 a run asks for a warmup trace: it appends the checkpoint warmup records
@@ -154,8 +152,8 @@ class SuperblockTable:
 # Inline expression templates. Each returns a Python expression string
 # computing the op on unsigned 64-bit operands, bit-identical to the
 # _ALU_FN / _BRANCH_FN lambdas (the property test in
-# tests/test_superblock.py covers every opcode against per-inst
-# stepping). ``b_const`` is the pre-converted immediate for immediate
+# tests/test_superblock.py covers every opcode against the interpretive
+# oracle). ``b_const`` is the pre-converted immediate for immediate
 # forms (None for register forms).
 # ---------------------------------------------------------------------------
 def _signed(expr, const=None):

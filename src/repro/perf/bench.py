@@ -5,10 +5,9 @@ the simulated machine — on a pinned matrix of (engine, workload,
 configuration) points:
 
 * ``emu`` points run the functional :class:`~repro.emu.emulator.Emulator`
-  to completion and report kilo-instructions per wall second. The
-  ``superblock`` variant dispatches one compiled function per
-  straight-line region (:mod:`repro.isa.superblock`) instead of one
-  closure per instruction.
+  to completion, one compiled function per straight-line region
+  (:mod:`repro.isa.superblock`), and report kilo-instructions per wall
+  second.
 * ``core`` points run the detailed :class:`~repro.pipeline.core.O3Core`
   and report kilo-instructions (committed) per wall second.
 * ``batch`` points run a small same-image job batch (baseline + two
@@ -55,8 +54,8 @@ class BenchPoint:
     pipeline) or ``"batch"`` (shared-image job batch); every mode's
     metric is kinsts/s. ``kind`` is a harness configuration kind
     (``baseline``/``mssr``/...), only meaningful for core points.
-    ``variant`` selects an alternate dispatch strategy of the same
-    engine — currently ``"superblock"`` for emulator points.
+    ``variant`` names the engine's dispatch strategy; the emulator
+    points say ``"superblock"``, the only one the emulator has.
     ``config`` holds extra dotted configuration overrides for core
     points (``{"mem.model": "ported"}``). Both are omitted from the
     spec when unset so reports from before the fields existed
@@ -106,8 +105,6 @@ class BenchPoint:
 #: the emulator, and the detailed core is measured for both the baseline
 #: pipeline and the MSSR reuse configuration.
 DEFAULT_MATRIX = (
-    BenchPoint("emu-nested-mispred", "emu", "nested-mispred", scale=0.4),
-    BenchPoint("emu-linear-mispred", "emu", "linear-mispred", scale=0.4),
     BenchPoint("emu-sb-nested-mispred", "emu", "nested-mispred",
                scale=0.4, variant="superblock"),
     BenchPoint("emu-sb-linear-mispred", "emu", "linear-mispred",
@@ -127,8 +124,7 @@ DEFAULT_MATRIX = (
 #: Subset used by the CI smoke run. These are the *same* point
 #: definitions (same scales) as the full matrix — normalised comparisons
 #: against a full-matrix baseline stay unbiased — just fewer of them.
-QUICK_NAMES = ("emu-nested-mispred", "emu-sb-nested-mispred",
-               "core-baseline-nested-mispred")
+QUICK_NAMES = ("emu-sb-nested-mispred", "core-baseline-nested-mispred")
 
 
 def select_points(names, matrix=DEFAULT_MATRIX):
@@ -200,12 +196,9 @@ def run_point(point, repeats=3):
     elif point.mode == "emu":
         from repro.emu.emulator import Emulator
         _mod, prog = get_workload(point.workload).build(point.scale)
-        prog.predecode()  # exclude one-time predecode from the timing
-        superblock = point.variant == "superblock"
-        if superblock:
-            prog.superblocks()  # exclude one-time codegen too
+        prog.superblocks()  # exclude one-time predecode and codegen
         for _ in range(repeats):
-            emu = Emulator(prog, superblock=superblock)
+            emu = Emulator(prog)
             start = time.perf_counter()
             result = emu.run()
             best = min(best, time.perf_counter() - start)
@@ -274,11 +267,9 @@ def profile_point(point, out_path, repeats=1):
     prog.predecode()
     if point.mode == "emu":
         from repro.emu.emulator import Emulator
-        superblock = point.variant == "superblock"
-        if superblock:
-            prog.superblocks()
+        prog.superblocks()
         for _ in range(repeats):
-            emu = Emulator(prog, superblock=superblock)
+            emu = Emulator(prog)
             profiler.enable()
             emu.run()
             profiler.disable()

@@ -134,10 +134,6 @@ class SampledResult:
         return self.stats.ipc
 
     @property
-    def weighted_ipc(self):
-        return _weighted_ipc(self.runs)
-
-    @property
     def error_bound(self):
         return self.selection.error_bound
 
@@ -246,11 +242,6 @@ def _weighted_cpi(runs):
     return sum(run.point.weight * run.stats.cycles
                / run.stats.committed_insts
                for run in runs if run.stats.committed_insts) / total_weight
-
-
-def _weighted_ipc(runs):
-    cpi = _weighted_cpi(runs)
-    return 1.0 / cpi if cpi else 0.0
 
 
 def aggregate_stats(runs, total_insts):

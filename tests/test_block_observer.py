@@ -33,7 +33,7 @@ def _slowpath(fn, *args):
         return fn(*args)
 
 
-def _observe(prog, interval=1_000_000, **kwargs):
+def _observe(prog, interval=1_000_000):
     """Run with a BBV accumulator and warmup sinks until halt or a fault,
     closing a BBV interval every ``interval`` instructions.
 
@@ -42,7 +42,7 @@ def _observe(prog, interval=1_000_000, **kwargs):
     """
     acc = BBVAccumulator(prog.entry)
     trace = ([], [])
-    emu = Emulator(prog, **kwargs)
+    emu = Emulator(prog)
     intervals = []
     try:
         while not emu.run_until(emu.inst_count + interval, bbv=acc,
@@ -194,8 +194,7 @@ def _faulting_prog():
 def test_block_fault_reports_exact_prefix():
     prog = _faulting_prog()
     fast = _observe(prog, 5)
-    assert fast == _slowpath(_observe, prog, 5) \
-        == _observe(prog, 5, superblock=False)
+    assert fast == _slowpath(_observe, prog, 5)
     intervals, _leader, _trace, state = fast
     regs, _mem, pc, inst_count, _halted, progress = state[:6]
     assert inst_count == sum(sum(c.values()) for c in intervals) == 17

@@ -196,7 +196,7 @@ def _pool_job(**kwargs):
 
 
 def test_pool_captures_exit_code_of_killed_worker(monkeypatch):
-    def dies(_job):
+    def dies(_job, store=None):
         os._exit(7)
 
     monkeypatch.setattr("repro.harness.runner.execute", dies)
@@ -213,7 +213,7 @@ def test_pool_captures_exit_code_of_killed_worker(monkeypatch):
 
 
 def test_pool_terminates_job_past_wall_timeout(monkeypatch):
-    def hangs(_job):
+    def hangs(_job, store=None):
         while True:      # ignores nothing, but never finishes
             time.sleep(0.1)
 
@@ -237,7 +237,7 @@ def test_pool_terminates_job_past_wall_timeout(monkeypatch):
 def test_run_batch_surfaces_killed_worker_error(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
 
-    def dies(_job):
+    def dies(_job, store=None):
         os._exit(11)
 
     monkeypatch.setattr("repro.harness.runner.execute", dies)
@@ -251,7 +251,7 @@ def test_run_batch_surfaces_killed_worker_error(tmp_path, monkeypatch):
 def test_group_worker_death_fails_whole_group(monkeypatch):
     """A worker dying mid-group resolves every unfinished member with
     the captured exit code instead of hanging the pool."""
-    def dies(_job):
+    def dies(_job, store=None):
         os._exit(5)
 
     monkeypatch.setattr("repro.harness.runner.execute", dies)
@@ -506,6 +506,39 @@ def test_default_checkpoint_store_is_not_an_orphan(tmp_path, monkeypatch):
                 fields.append(sorted(json.load(fh)))
     assert sorted(fields) == [["checkpoints", "selection", "total_insts"],
                               ["config_hash", "job", "job_hash", "stats"]]
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_sampled_batch_keeps_checkpoints_in_its_store(tmp_path,
+                                                      monkeypatch, n_jobs):
+    """A batch given a store keeps its sampled jobs' checkpoint entry
+    there, on the serial and on the forked path, and ``cache=False``
+    (``--no-cache``) writes nowhere: never into the default cache."""
+    xdg = tmp_path / "xdg"
+    xdg.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    jobs = [SimJob("linear-mispred", kind, 0.2,
+                   sampling={"interval_insts": 2000})
+            for kind in ("baseline", "mssr")]
+    cache = ResultCache(directory=str(tmp_path / "store"))
+    clear_memo()
+    assert run_batch(jobs, n_jobs=n_jobs, cache=cache).executed == 2
+    kinds = []
+    for dirpath, _dirs, names in os.walk(cache.directory):
+        for name in names:
+            with open(os.path.join(dirpath, name)) as fh:
+                kinds.append("result" if "stats" in json.load(fh)
+                             else "checkpoint")
+    # The two kinds share one checkpoint entry (keyed by the program).
+    assert sorted(kinds) == ["checkpoint", "result", "result"]
+    assert cache.entries() == 3
+    assert os.listdir(xdg) == []
+
+    clear_memo()
+    assert run_batch(jobs, n_jobs=n_jobs, cache=False).executed == 2
+    assert cache.entries() == 3
+    assert os.listdir(xdg) == []
 
 
 def test_cli_cache_reports_current_and_orphaned_bytes(tmp_cache):

@@ -142,21 +142,8 @@ def test_append_history_is_append_only(tmp_path):
         assert record["calibration_kops"] == 1000.0
         assert set(record["points"]) == {p.name for p in DEFAULT_MATRIX}
     # The second run's metrics doubled; history keeps both.
-    assert records[1]["points"]["emu-nested-mispred"] == \
-        2 * records[0]["points"]["emu-nested-mispred"]
-
-
-def test_run_point_superblock_variant_matches_closure_insts():
-    plain = BenchPoint("p", "emu", "nested-mispred", scale=0.02)
-    sb = BenchPoint("p-sb", "emu", "nested-mispred", scale=0.02,
-                    variant="superblock")
-    r_plain = run_point(plain, repeats=1)
-    r_sb = run_point(sb, repeats=1)
-    # Same program, same retired instruction count — only dispatch
-    # differs.
-    assert r_sb["insts"] == r_plain["insts"] > 0
-    assert r_sb["point"]["variant"] == "superblock"
-    assert "kcycles_per_s" not in r_sb
+    assert records[1]["points"]["emu-sb-nested-mispred"] == \
+        2 * records[0]["points"]["emu-sb-nested-mispred"]
 
 
 def test_run_point_batch_mode_smoke():

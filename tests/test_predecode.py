@@ -1,19 +1,18 @@
 """Predecode layer: field correspondence and fast/slow-path identity.
 
-The predecoded fast paths (``PDInst`` records + semantic closures) must
-be *unobservable*: every field mirrors ``inst``/``inst.info`` exactly,
-an emulation through the fast paths produces byte-identical results to
-the interpretive path (kept alive under ``REPRO_SLOWPATH=1`` as the ISA
-oracle), and the core, which executes only predecoded records, commits
-exactly what that oracle executes.
+The predecoded records must be *unobservable*: every field mirrors
+``inst``/``inst.info`` exactly, an emulation through the superblocks
+compiled from them produces byte-identical results to the interpretive
+``Emulator._execute`` (every instruction under ``REPRO_SLOWPATH=1``, the
+ISA oracle), and the core, which executes only predecoded records,
+commits exactly what that oracle executes.
 """
 
-import os
-
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emu import Emulator
-from repro.isa import Instruction, Op
+from repro.isa import Assembler, Instruction, Op
 from repro.isa.opcodes import OPCODE_INFO, OpClass
 from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
                                  KIND_HALT, KIND_LOAD, KIND_MUL, KIND_NOP,
@@ -24,6 +23,7 @@ from repro.utils.bits import to_unsigned
 from repro.workloads import get_workload
 
 from tests.test_random_programs import _REGS, _assemble, _instruction
+from tests.test_superblock import _oracle
 
 _CLASS_TO_KIND = {
     OpClass.ALU: KIND_ALU, OpClass.MUL: KIND_MUL, OpClass.DIV: KIND_DIV,
@@ -79,47 +79,40 @@ def test_pdinst_fields_match_info_for_every_opcode():
             assert rec.store_mask == (1 << (info.mem_size * 8)) - 1
         assert rec.alu_fn is info.alu_fn
         assert rec.branch_fn is info.branch_fn
-        assert rec.exec_fn is not None  # placed pc -> closure built
 
 
 def test_x0_dest_load_predecodes_without_writeback():
-    """An x0-destination load skips the writeback but still gets a
-    closure (the access itself must happen for alignment faults)."""
+    """An x0-destination load skips the writeback, but the access itself
+    still happens: misaligned, it faults in both executors and leaves
+    the same state."""
     inst = Instruction(Op.LD, dest=0, srcs=(6,), imm=0, pc=0x1000)
-    rec = predecode_inst(inst)
-    assert not rec.writes_reg
-    assert rec.exec_fn is not None
+    assert not predecode_inst(inst).writes_reg
+    asm = Assembler()
+    buf = asm.word_array("buf", [11, 22])
+    asm.li("s0", buf)
+    asm.addi("t0", "zero", 7)
+    asm.load(Op.LD, "zero", "s0", 4)     # misaligned: raises
+    asm.addi("t0", "t0", 1)              # never retires
+    asm.halt()
+    prog = asm.finish()
+    states = []
+    for make in (_oracle, Emulator):
+        emu = make(prog)
+        with pytest.raises(ValueError, match="misaligned"):
+            emu.run_until(1000)
+        states.append((list(emu.regs), emu.pc, emu.inst_count))
+    assert states[0] == states[1]
+    assert prog.predecode().by_pc[states[0][1]].is_load
+    assert states[0][0][5] == 7          # t0: the prefix retired
 
 
 def test_unplaced_instruction_predecodes_without_closure():
     """DynInsts built directly in unit tests have pc=None: the record
-    still carries the flattened fields, just no semantic closure."""
+    still carries the flattened fields, with no fall-through pc."""
     rec = predecode_inst(Instruction(Op.ADD, dest=3, srcs=(1, 2)))
     assert rec.pc is None
     assert rec.next_pc is None
-    assert rec.exec_fn is None
     assert rec.kind == KIND_ALU
-
-
-class _ObserverStub:
-    """Captures the observer fields a semantic closure writes."""
-    last_branch_taken = None
-    last_mem_addr = None
-    last_mem_size = None
-
-
-def test_jalr_closure_reads_target_before_link_write():
-    """jalr with dest == src must compute the target from the *old*
-    register value (the closure bakes in the evaluation order)."""
-    inst = Instruction(Op.JALR, dest=5, srcs=(5,), imm=8, pc=0x1000)
-    rec = predecode_inst(inst)
-    regs = [0] * 32
-    regs[5] = 0x4000
-    emu = _ObserverStub()
-    target = rec.exec_fn(emu, regs)
-    assert target == 0x4008     # old x5 + imm, not the link value
-    assert regs[5] == 0x1004    # link written after the target read
-    assert emu.last_branch_taken is True
 
 
 def test_slowpath_env_parsing(monkeypatch):
@@ -144,21 +137,13 @@ def test_program_predecode_is_cached_and_complete():
 
 
 # ---------------------------------------------------------------------------
-# Differential: fast paths vs the REPRO_SLOWPATH=1 interpretive oracle.
+# Differential: superblocks vs the REPRO_SLOWPATH=1 interpretive oracle.
 # ---------------------------------------------------------------------------
-def _emulate(prog, slow, monkeypatch):
-    if slow:
-        monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
-    return Emulator(prog).run(max_insts=2_000_000)
-
-
-def test_emulator_fast_slow_identity_micro(monkeypatch):
+def test_emulator_fast_slow_identity_micro():
     for name in ("nested-mispred", "linear-mispred"):
         _mod, prog = get_workload(name).build(scale=0.1)
-        fast = _emulate(prog, False, monkeypatch)
-        slow = _emulate(prog, True, monkeypatch)
+        fast = Emulator(prog).run(max_insts=2_000_000)
+        slow = _oracle(prog).run(max_insts=2_000_000)
         assert fast.regs == slow.regs
         assert fast.memory == slow.memory
         assert fast.pc == slow.pc
@@ -189,26 +174,19 @@ def test_core_lockstep_against_interpretive_emulator(monkeypatch):
                 min_size=len(_REGS), max_size=len(_REGS)))
 def test_random_programs_fast_slow_identity(descriptors, seeds):
     """Hypothesis cosim: generated programs execute identically through
-    the predecoded closures and the interpretive ``_execute``."""
+    the superblocks and the interpretive ``_execute``."""
     prog = _assemble(descriptors, seeds)
-    old = os.environ.pop("REPRO_SLOWPATH", None)
-    try:
-        fast = Emulator(prog).run(max_insts=100_000)
-        os.environ["REPRO_SLOWPATH"] = "1"
-        slow = Emulator(prog).run(max_insts=100_000)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SLOWPATH", None)
-        else:
-            os.environ["REPRO_SLOWPATH"] = old
+    fast = Emulator(prog).run(max_insts=100_000)
+    slow = _oracle(prog).run(max_insts=100_000)
     assert fast.regs == slow.regs
     assert fast.memory == slow.memory
     assert fast.inst_count == slow.inst_count
 
 
 def test_lockstep_green_on_fast_path(monkeypatch):
-    """Commit-by-commit differential check passes with the fast paths
-    active in both the core and the golden-model emulator."""
+    """Commit-by-commit differential check passes without
+    ``REPRO_SLOWPATH``: the core runs its one (predecoded) execute path,
+    and the checker steps the interpretive emulator either way."""
     from repro.obs import run_lockstep
     monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
     _mod, prog = get_workload("nested-mispred").build(scale=0.05)

@@ -1,10 +1,11 @@
-"""Superblock trace-JIT correctness: block dispatch vs per-inst paths.
+"""Superblock trace-JIT correctness: block dispatch vs the ISA oracle.
 
 The generated per-block functions must be unobservable next to the
-per-instruction closure path (and the pre-predecode slowpath): same
-final registers, memory, pc, halted flag and — crucially — the same
-``inst_count``, including when a block body raises mid-block or the
-instruction budget lands inside a block.
+interpretive ``Emulator._execute`` (every instruction of an emulator
+built under ``REPRO_SLOWPATH=1``): same final registers, memory, pc,
+halted flag and — crucially — the same ``inst_count``, including when a
+block body raises mid-block or the instruction budget lands inside a
+block.
 """
 
 import pytest
@@ -27,10 +28,19 @@ def _state(result):
     return (result.regs, result.inst_count, result.halted, result.pc)
 
 
+def _oracle(prog, **kwargs):
+    """An emulator that interprets every instruction (the ISA oracle):
+    ``REPRO_SLOWPATH`` is read at construction."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_SLOWPATH", "1")
+        return Emulator(prog, **kwargs)
+
+
 def _run_pair(prog, max_insts=BUDGET):
-    """Run ``prog`` under closure and superblock dispatch; assert every
-    piece of architectural state matches and return the closure run."""
-    base = Emulator(prog, superblock=False)
+    """Run ``prog`` on the oracle and under superblock dispatch; assert
+    every piece of architectural state matches and return the oracle
+    run."""
+    base = _oracle(prog)
     base_halted = base.run_until(max_insts)
     sb = Emulator(prog)
     sb_halted = sb.run_until(max_insts)
@@ -58,10 +68,10 @@ def test_superblock_matches_closure_random(descriptors, seeds):
                 min_size=len(_REGS), max_size=len(_REGS)),
        st.integers(min_value=1, max_value=60))
 def test_superblock_budget_boundary_random(descriptors, seeds, budget):
-    """A budget landing mid-block must fall back to per-inst stepping
+    """A budget landing mid-block must fall back to the interpreter
     for the tail: exact inst_count, never overshoot."""
     prog = _assemble(descriptors, seeds)
-    base = Emulator(prog, superblock=False)
+    base = _oracle(prog)
     base.run_until(budget)
     sb = Emulator(prog)
     sb.run_until(budget)
@@ -115,7 +125,7 @@ def test_superblock_memory_and_observers():
     asm.halt()
     prog = asm.finish()
 
-    base = Emulator(prog, superblock=False)
+    base = _oracle(prog)
     base.run(max_insts=BUDGET)
     sb = Emulator(prog)
     sb.run(max_insts=BUDGET)
@@ -148,9 +158,38 @@ def test_superblock_branch_and_jump_boundaries():
     assert result.reg("t1") == 5 * 3 + 100
 
 
+def test_jalr_reads_target_before_link_write():
+    """``jalr x5, 8(x5)`` jumps to the *old* x5 + 8 and only then links
+    x5, in a compiled block and on the oracle alike."""
+    asm = Assembler()
+    target = asm.next_pc + 6 * INST_BYTES
+    asm.li("t0", target - 8)
+    asm.jalr("t0", "t0", 8)
+    asm.addi("t1", "zero", 1)     # the fall-through
+    asm.halt()
+    asm.addi("t1", "zero", 3)     # the link + 8
+    asm.halt()
+    asm.label("target")
+    asm.addi("t1", "zero", 2)
+    asm.halt()
+    prog = asm.finish()
+    assert prog.label_pc("target") == target
+    states = []
+    for make in (_oracle, Emulator):
+        emu = make(prog)
+        emu.run(BUDGET)
+        states.append(_exact_state(emu))
+    assert states[0] == states[1]
+    assert prog.superblocks().by_pc[prog.entry].length == 2
+    regs = states[0][0]
+    assert regs[6] == 2                           # t1: the target ran
+    assert regs[5] == prog.entry + 2 * INST_BYTES  # t0: the link
+    assert states[0][-1] is True                  # last_branch_taken
+
+
 def test_superblock_fallback_jump_into_block_middle():
     """An indirect jump landing off the leader set must fall back to
-    per-inst stepping and still match the closure path exactly."""
+    the interpreter and still match the oracle exactly."""
     asm = Assembler()
     asm.li("t0", 1)
     asm.j("entry")
@@ -197,8 +236,8 @@ def test_superblock_unknown_pc_matches_closure():
     prog = asm.finish()
 
     states = []
-    for kwargs in ({"superblock": False}, {}):
-        emu = Emulator(prog, **kwargs)
+    for make in (_oracle, Emulator):
+        emu = make(prog)
         with pytest.raises(EmulationError):
             emu.run_until(BUDGET)
         states.append((emu.inst_count, emu.pc, list(emu.regs)))
@@ -224,8 +263,8 @@ def _misaligned_prog():
 def test_superblock_midblock_raise_exact_inst_count():
     prog = _misaligned_prog()
     states = []
-    for kwargs in ({"superblock": False}, {}):
-        emu = Emulator(prog, **kwargs)
+    for make in (_oracle, Emulator):
+        emu = make(prog)
         with pytest.raises(ValueError, match="misaligned"):
             emu.run_until(BUDGET)
         states.append(_state(emu.result()))
@@ -243,10 +282,10 @@ def test_superblock_midblock_raise_exact_inst_count():
 
 def test_superblock_resume_after_midblock_raise():
     """After a mid-block fault the emulator can keep stepping from the
-    faulting pc, exactly like the closure path."""
+    faulting pc, exactly like the oracle."""
     results = []
-    for kwargs in ({"superblock": False}, {}):
-        emu = Emulator(_misaligned_prog(), **kwargs)
+    for make in (_oracle, Emulator):
+        emu = make(_misaligned_prog())
         with pytest.raises(ValueError):
             emu.run_until(BUDGET)
         # Skip the faulting load by hand, then resume.
@@ -260,7 +299,7 @@ def test_superblock_resume_after_midblock_raise():
 # Register locals, identity folds and inline 8-byte access
 # ---------------------------------------------------------------------------
 def _exact_state(emu):
-    """Every field a faulting block must leave as per-inst stepping does."""
+    """Every field a faulting block must leave as the interpreter does."""
     return (list(emu.regs), emu.memory.nonzero_words(), emu.pc,
             emu.inst_count, emu.halted, emu._sb_progress,
             emu.last_mem_addr, emu.last_mem_size, emu.last_branch_taken)
@@ -339,13 +378,13 @@ def _straight_block(body, odd, position, seeds, branch):
        st.booleans())
 def test_register_local_blocks_match_closure(body, odd, position, seeds,
                                              branch):
-    """Block mode, traced and untraced, leaves exactly the closure
-    path's state, whether or not the odd access faults mid-block."""
+    """Block mode, traced and untraced, leaves exactly the oracle's
+    state, whether or not the odd access faults mid-block."""
     prog = _straight_block(body, odd, position, seeds, branch)
     outcomes = []
     for traced in (False, True):
-        for kwargs in ({"superblock": False}, {}):
-            emu = Emulator(prog, **kwargs)
+        for make in (_oracle, Emulator):
+            emu = make(prog)
             trace = ([], []) if traced else None
             try:
                 emu.run_until(BUDGET, trace=trace)
@@ -379,7 +418,7 @@ def test_read_word_after_inline_and_subword_stores():
     prog = asm.finish()
     emu = Emulator(prog)
     emu.run(BUDGET)
-    base = Emulator(prog, superblock=False)
+    base = _oracle(prog)
     base.run(BUDGET)
     assert _exact_state(emu) == _exact_state(base)
     assert emu.memory.read_word(buf) == 0xCAFEF00DAB332211
@@ -388,20 +427,18 @@ def test_read_word_after_inline_and_subword_stores():
     assert emu.regs[14] == 0xFFFFFFFFCAFEF00D   # a4: lw sign-extends
 
 
-def test_x0_stays_zero_with_initial_registers(monkeypatch):
+def test_x0_stays_zero_with_initial_registers():
     """Blocks compile ``x0`` to the literal 0, so an initial value for it
-    is dropped and every dispatch mode computes with 0."""
+    is dropped and both executors compute with 0."""
     asm = Assembler()
     asm.addi("t0", "zero", 1)
     asm.add("t1", "zero", "t0")
     asm.halt()
     prog = asm.finish()
     init = {0: 5, 5: 7}
-    states = [Emulator(prog, init_regs=init, **kwargs).run(BUDGET).regs
-              for kwargs in ({}, {"superblock": False})]
-    monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    states.append(Emulator(prog, init_regs=init).run(BUDGET).regs)
-    assert states[0] == states[1] == states[2]
+    states = [make(prog, init_regs=init).run(BUDGET).regs
+              for make in (Emulator, _oracle)]
+    assert states[0] == states[1]
     assert states[0][:1] + states[0][5:7] == [0, 1, 1]
 
 
@@ -487,7 +524,7 @@ def _tiny_prog():
     return asm.finish()
 
 
-def test_superblock_is_default_and_compiled_lazily(monkeypatch):
+def test_superblock_is_default_and_compiled_lazily():
     """Block dispatch is the default, but the table is compiled by the
     first run_until, never by construction or single-stepping."""
     prog = _tiny_prog()
@@ -496,11 +533,9 @@ def test_superblock_is_default_and_compiled_lazily(monkeypatch):
     assert prog._superblocks is None and emu._sb_by_pc is None
     emu.run_until(BUDGET)
     assert emu._sb_by_pc is prog.superblocks().by_pc
-    # The closure reference and the slowpath never build it.
+    # The slowpath never builds it.
     prog = _tiny_prog()
-    Emulator(prog, superblock=False).run(BUDGET)
-    monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    Emulator(prog).run(BUDGET)
+    _oracle(prog).run(BUDGET)
     assert prog._superblocks is None
 
 
@@ -512,21 +547,20 @@ def test_fingerprint_marks_only_slowpath(monkeypatch):
     assert code_fingerprint() == plain + "-slow"
 
 
-def test_superblock_matches_slowpath(monkeypatch):
+def test_superblock_matches_slowpath():
     prog = _tiny_prog()
     sb = Emulator(prog)
     sb.run(max_insts=BUDGET)
-    monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    slow = Emulator(prog)
+    slow = _oracle(prog)
     assert slow._slow
     slow.run(max_insts=BUDGET)
     assert _state(slow.result()) == _state(sb.result())
     assert slow.memory == sb.memory
 
 
-def test_run_trace_matches_slowpath_trace(monkeypatch):
+def test_run_trace_matches_slowpath_trace():
     """run_trace stays on block dispatch (traced blocks) and records
-    exactly the closure path's and the slowpath's triples."""
+    exactly the slowpath's triples."""
     asm = Assembler()
     asm.li("t0", 3)
     asm.label("loop")
@@ -542,12 +576,9 @@ def test_run_trace_matches_slowpath_trace(monkeypatch):
     prog = asm.finish()
     sb_result, sb_trace = Emulator(prog).run_trace(BUDGET)
     assert prog.superblocks().by_pc[prog.entry].traced is not None
-    base_result, base_trace = Emulator(prog, superblock=False) \
-        .run_trace(BUDGET)
-    monkeypatch.setenv("REPRO_SLOWPATH", "1")
-    slow_result, slow_trace = Emulator(prog).run_trace(BUDGET)
-    assert sb_trace == base_trace == slow_trace
+    slow_result, slow_trace = _oracle(prog).run_trace(BUDGET)
+    assert sb_trace == slow_trace
     assert len(sb_trace) == 3 * 3 + 1
     assert all(taken is True or taken is False
                for _pc, taken, _tg in sb_trace)
-    assert _state(sb_result) == _state(base_result) == _state(slow_result)
+    assert _state(sb_result) == _state(slow_result)
