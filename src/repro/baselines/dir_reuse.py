@@ -16,7 +16,10 @@ other, and the reuse test can only fire when operands are ready at
 rename, missing reuse of still-in-flight dependence chains.
 """
 
+import dataclasses
+
 from repro.baselines.base import ReuseScheme, ReuseResult
+from repro.pipeline.config import _check_positive
 
 
 class _DIREntry:
@@ -34,12 +37,15 @@ class _DIREntry:
         self.lru = 0
 
 
+@dataclasses.dataclass
 class DIRConfig:
     """Reuse Buffer geometry."""
 
-    def __init__(self, num_sets=64, assoc=4):
-        self.num_sets = num_sets
-        self.assoc = assoc
+    num_sets: int = 64
+    assoc: int = 4
+
+    def __post_init__(self):
+        _check_positive(self, "num_sets", "assoc")
 
 
 class DynamicInstructionReuse(ReuseScheme):

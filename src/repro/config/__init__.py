@@ -1,11 +1,10 @@
 """Configuration: schema, job snapshots, env registry, sweeps.
 
 Import layering: :mod:`repro.config.envreg` is stdlib-only and safe to
-import from anywhere (including :mod:`repro.isa.predecode`, which sits
-under the whole simulator). The schema/tree/sweep modules introspect
-the simulator's dataclasses, so they are exposed lazily here — eagerly
-importing them from this package ``__init__`` would create an import
-cycle (predecode -> repro.config -> schema -> pipeline -> predecode).
+import from anywhere (including :mod:`repro.emu.emulator`, which reads
+``REPRO_SLOWPATH`` through it). The schema/tree/sweep modules
+introspect the simulator's dataclasses, so they are exposed lazily
+here: importing the registry never loads them.
 """
 
 from repro.config import envreg  # noqa: F401  (eager; stdlib-only)

@@ -16,8 +16,8 @@ The variables are runtime settings only (worker counts, directories,
 test and benchmark switches): none of them is part of a job's
 configuration snapshot (:mod:`repro.config.tree`).
 
-This module must stay stdlib-only: it is imported by
-:mod:`repro.isa.predecode`, which sits under everything else.
+This module must stay stdlib-only: the emulator
+(:mod:`repro.emu.emulator`) imports it.
 """
 
 import dataclasses
@@ -90,9 +90,6 @@ REGISTRY = _declare(
            "Run every emulator instruction through its interpretive ISA "
            "oracle, not only single steps and block residues "
            "(differential testing)."),
-    EnvVar("REPRO_LOCKSTEP", "bool", False,
-           "Cosimulation tests check every commit against the emulator "
-           "instead of only final state."),
     EnvVar("REPRO_BENCH_SCALE", "float", 0.1,
            "Workload scale factor for benchmarks/ (paper inputs are "
            "proportionally shrunk)."),

@@ -262,13 +262,7 @@ def _build_schema():
         "mssr", MSSRConfig,
         choices={"memory_hazard_scheme": MEMORY_HAZARD_SCHEMES})
     specs += _dataclass_fields("ri", RIConfig)
-    dir_defaults = DIRConfig()
-    for name in ("num_sets", "assoc"):
-        key = "dir.%s" % name
-        default = getattr(dir_defaults, name)
-        specs.append(FieldSpec(key=key, type=type(default),
-                               default=default,
-                               doc=_DOCS.get(key, "(undocumented)")))
+    specs += _dataclass_fields("dir", DIRConfig)
     specs += _dataclass_fields("sampling", SamplingSpec)
     return {spec.key: spec for spec in specs}
 

@@ -109,8 +109,8 @@ def build_reuse_scheme(kind, overrides=()):
         DynamicInstructionReuse
     snapshot = job_snapshot(kind, overrides)
     return DynamicInstructionReuse(DIRConfig(
-        num_sets=snapshot["dir.num_sets"],
-        assoc=snapshot["dir.assoc"]))
+        **{key.partition(".")[2]: value
+           for key, value in snapshot.items() if key.startswith("dir.")}))
 
 
 __all__ = [

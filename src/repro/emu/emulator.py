@@ -16,14 +16,21 @@ differential runs.
 
 import collections
 
+from repro.config import envreg
 from repro.isa.instruction import INST_BYTES
 from repro.isa.opcodes import Op, OpClass
-from repro.isa.predecode import slowpath_enabled
 from repro.isa.program import STACK_TOP
 from repro.isa.registers import NUM_ARCH_REGS, reg_num
 from repro.isa.superblock import trace_flags
 from repro.emu.memory import SparseMemory
-from repro.utils.bits import MASK64, wrap64, to_unsigned
+from repro.utils.bits import sext32, wrap64, to_unsigned
+
+
+def slowpath_enabled():
+    """True when ``REPRO_SLOWPATH=1`` selects the interpretive ISA
+    oracle for every instruction (differential testing). Read at
+    emulator construction time, so tests can toggle per instance."""
+    return envreg.get("REPRO_SLOWPATH")
 
 
 class EmulationError(Exception):
@@ -60,13 +67,6 @@ class BBVAccumulator:
     def __init__(self, leader):
         self.counts = {}
         self.leader = leader
-
-
-def _sext32(value):
-    value &= 0xFFFFFFFF
-    if value & 0x80000000:
-        value |= ~0xFFFFFFFF & MASK64
-    return value
 
 
 class Emulator:
@@ -156,7 +156,7 @@ class Emulator:
             addr = wrap64(regs[inst.srcs[0]] + inst.imm)
             value = self.memory.read(addr, info.mem_size)
             if inst.op is Op.LW:
-                value = _sext32(value)
+                value = sext32(value)
             if inst.writes_reg:
                 regs[inst.dest] = value
             self.last_mem_addr = addr

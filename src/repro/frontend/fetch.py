@@ -132,10 +132,8 @@ class FetchUnit:
         self.ftq_depth = frontend.ftq_depth
         self.fetch_latency = frontend.fetch_latency
         self.bpu_rate = frontend.bpu_blocks_per_cycle
-        # Predecoded view: membership in ``by_pc`` is exactly
-        # Program.has_pc, and each record carries the flattened fields
-        # the fetch loop needs (halt/branch classification).
-        self._by_pc = program.predecode().by_pc
+        # Membership in ``by_pc`` is exactly Program.has_pc.
+        self._by_pc = program.predecode()
 
         self.pc = program.entry
         self.stalled = False          # BPU waiting for redirect (halt/
@@ -351,20 +349,20 @@ class FetchUnit:
         next_pc = None     # predicted PC after this block (None => stall)
         ended = False      # loop terminated by a control decision
         while len(insts) < self.block_insts:
-            rec = by_pc.get(pc)
-            if rec is None:
+            inst = by_pc.get(pc)
+            if inst is None:
                 # Ran off the code image mid-block (wrong path): stall.
                 ended = True
                 break
-            dyn = DynInst(seq, pc, rec.inst, block_id, cycle, rec)
+            dyn = DynInst(seq, pc, inst, block_id, cycle)
             seq += 1
             append(dyn)
             block.end_pc = pc
 
-            if rec.is_halt:
+            if inst.is_halt:
                 ended = True  # nothing sensible follows a halt
                 break
-            if rec.is_branch:
+            if inst.is_branch:
                 taken, target = self._predict_control(dyn)
                 if taken:
                     next_pc = target  # None for unpredictable indirects
@@ -399,30 +397,30 @@ class FetchUnit:
 
         Also fills the DynInst's prediction bookkeeping fields.
         """
-        pd = dyn.pd
-        fallthrough = pd.next_pc
-        if pd.is_cond_branch:
-            taken, meta = self.predictor.predict(pd.pc)
+        inst = dyn.inst
+        fallthrough = inst.next_pc
+        if inst.is_cond_branch:
+            taken, meta = self.predictor.predict(inst.pc)
             dyn.bp_meta = meta
-            target = pd.target if taken else fallthrough
+            target = inst.target if taken else fallthrough
             dyn.pred_npc = target
             return taken, target
 
         # Unconditional: jal / jalr.
         dyn.ras_snap = self.ras.snapshot()
-        if not pd.is_indirect:  # jal
-            if pd.dest == _RA:
+        if not inst.is_indirect:  # jal
+            if inst.dest == _RA:
                 self.ras.push(fallthrough)
-            dyn.pred_npc = pd.target
-            return True, pd.target
+            dyn.pred_npc = inst.target
+            return True, inst.target
 
         # jalr: return or other indirect.
         target = None
-        if pd.src0 == _RA and pd.dest != _RA:
+        if inst.src0 == _RA and inst.dest != _RA:
             target = self.ras.pop()
         if target is None:
-            target = self.btb.lookup(pd.pc)
-        if pd.dest == _RA:
+            target = self.btb.lookup(inst.pc)
+        if inst.dest == _RA:
             self.ras.push(fallthrough)
         dyn.pred_npc = target
         if target is None:

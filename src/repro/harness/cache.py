@@ -43,8 +43,8 @@ def code_fingerprint():
 
     The predecode schema version, the configuration-schema version and
     the ``REPRO_SLOWPATH`` escape hatch are folded in as well: results
-    simulated via the interpretive paths must never be served to (or
-    poison the cache of) predecoded runs, and entries hashed under an
+    simulated via the interpretive oracle must never be served to (or
+    poison the cache of) superblock runs, and entries hashed under an
     older job-hashing scheme (before job snapshots) must never be
     misattributed — bumping ``CONFIG_SCHEMA_VERSION`` strands them
     under a stale fingerprint, which ``harness cache`` reports as
@@ -56,7 +56,7 @@ def code_fingerprint():
     if _FINGERPRINT is None:
         import repro
         from repro.config.schema import CONFIG_SCHEMA_VERSION
-        from repro.isa.predecode import PREDECODE_VERSION
+        from repro.isa.instruction import PREDECODE_VERSION
         base = os.path.dirname(os.path.abspath(repro.__file__))
         digest = hashlib.sha256()
         digest.update(("predecode-v%d" % PREDECODE_VERSION).encode("utf-8"))
@@ -72,7 +72,7 @@ def code_fingerprint():
                 with open(path, "rb") as handle:
                     digest.update(handle.read())
         _FINGERPRINT = digest.hexdigest()[:16]
-    from repro.isa.predecode import slowpath_enabled
+    from repro.emu.emulator import slowpath_enabled
     if slowpath_enabled():
         return _FINGERPRINT + "-slow"
     return _FINGERPRINT

@@ -169,7 +169,7 @@ class SimJob:
         scheme are never silently reused.
         """
         from repro.config.schema import CONFIG_SCHEMA_VERSION
-        from repro.isa.predecode import PREDECODE_VERSION
+        from repro.isa.instruction import PREDECODE_VERSION
         out = {
             "workload": self.workload,
             "kind": self.kind,

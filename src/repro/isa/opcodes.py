@@ -35,6 +35,30 @@ class OpClass(enum.Enum):
     HALT = "halt"
 
 
+#: Functional-unit class as a small int (dispatch without enum identity
+#: checks). Order matters: ``kind <= KIND_DIV`` selects the ALU-computed
+#: classes and ``kind >= KIND_NOP`` the no-execute ones.
+KIND_ALU = 0
+KIND_MUL = 1
+KIND_DIV = 2
+KIND_BRANCH = 3
+KIND_LOAD = 4
+KIND_STORE = 5
+KIND_NOP = 6
+KIND_HALT = 7
+
+_CLASS_KIND = {
+    OpClass.ALU: KIND_ALU,
+    OpClass.MUL: KIND_MUL,
+    OpClass.DIV: KIND_DIV,
+    OpClass.BRANCH: KIND_BRANCH,
+    OpClass.LOAD: KIND_LOAD,
+    OpClass.STORE: KIND_STORE,
+    OpClass.NOP: KIND_NOP,
+    OpClass.HALT: KIND_HALT,
+}
+
+
 class Op(enum.Enum):
     """Every opcode in the ISA."""
 
@@ -159,12 +183,13 @@ MEM_SIGNED = {Op.LD: True, Op.LW: True, Op.LBU: False}
 class OpInfo:
     """Static description of one opcode."""
 
-    __slots__ = ("op", "op_class", "num_srcs", "has_dest", "has_imm",
-                 "alu_fn", "branch_fn", "mem_size", "mem_signed")
+    __slots__ = ("op", "op_class", "kind", "num_srcs", "has_dest",
+                 "has_imm", "alu_fn", "branch_fn", "mem_size", "mem_signed")
 
     def __init__(self, op, op_class, num_srcs, has_dest, has_imm):
         self.op = op
         self.op_class = op_class
+        self.kind = _CLASS_KIND[op_class]
         self.num_srcs = num_srcs
         self.has_dest = has_dest
         self.has_imm = has_imm

@@ -77,7 +77,7 @@ class Program:
         self.data = data if data is not None else DataSegment()
         self.entry = entry if entry is not None else code_base
         self._check_pcs()
-        self._predecoded = None
+        self._by_pc = None
         self._superblocks = None
 
     def _check_pcs(self):
@@ -107,14 +107,15 @@ class Program:
         return self.instructions[(pc - self.code_base) // INST_BYTES]
 
     def predecode(self):
-        """The program's :class:`~repro.isa.predecode.PredecodedProgram`
-        (flattened hot-path view; built once and cached, so every
-        emulator / core instance over this program shares it)."""
-        pd = self._predecoded
-        if pd is None:
-            from repro.isa.predecode import predecode_program
-            pd = self._predecoded = predecode_program(self)
-        return pd
+        """``{pc: Instruction}`` for every instruction (built once and
+        cached, so every core and the superblock table over this
+        program share it). Membership is exactly :meth:`has_pc`, so one
+        ``dict.get`` is both the bounds check and the lookup."""
+        by_pc = self._by_pc
+        if by_pc is None:
+            by_pc = self._by_pc = {inst.pc: inst
+                                   for inst in self.instructions}
+        return by_pc
 
     def superblocks(self):
         """The program's compiled :class:`~repro.isa.superblock.

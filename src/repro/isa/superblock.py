@@ -3,9 +3,11 @@
 This module discovers every straight-line region of a program (single
 entry, ending at a branch/halt — the same block boundaries the BBV
 profiler derives dynamically) and *generates Python source* for the
-whole region from its predecoded records (:mod:`repro.isa.predecode`),
-compiled once per static block, so the emulator's fast path is one dict
-lookup + one call per **block**.
+whole region from the program's own
+:class:`~repro.isa.instruction.Instruction` records (their precomputed
+operand, immediate and memory fields), compiled once per static block,
+so the emulator's fast path is one dict lookup + one call per
+**block**.
 
 The generated code is register-allocated and bit-identical to the
 interpretive :meth:`~repro.emu.emulator.Emulator._execute`:
@@ -55,9 +57,8 @@ is_write)`` per memory access) inline, in program order, so checkpoint
 capture and ``Emulator.run_trace`` stay on block dispatch too.
 """
 
-from repro.isa.opcodes import Op
-from repro.isa.predecode import (KIND_BRANCH, KIND_DIV, KIND_HALT,
-                                 KIND_LOAD, KIND_NOP, KIND_STORE)
+from repro.isa.opcodes import (KIND_BRANCH, KIND_DIV, KIND_HALT, KIND_LOAD,
+                               KIND_NOP, KIND_STORE, Op)
 from repro.utils.bits import MASK64, SIGN_BIT, sext32
 
 #: Static cap on instructions per generated block; a capped block chains
@@ -89,8 +90,7 @@ def trace_flags(inst):
         flags |= FLAG_INDIRECT
     if inst.writes_reg and inst.dest == _RA:
         flags |= FLAG_CALL
-    if inst.is_indirect and inst.srcs and inst.srcs[0] == _RA \
-            and inst.dest != _RA:
+    if inst.is_indirect and inst.src0 == _RA and inst.dest != _RA:
         flags |= FLAG_RET
     return flags
 
@@ -393,10 +393,10 @@ def _codegen(records, traced=False):
         target = "%d" % last.imm if last.op is Op.JAL else "_tg"
         if traced:
             body.append("_ba((%d, 1, %s, %d))"
-                        % (last.pc, target, trace_flags(last.inst)))
+                        % (last.pc, target, trace_flags(last)))
         body.append("return %s" % target)
     elif traced:
-        flags = trace_flags(last.inst)
+        flags = trace_flags(last)
         body.append("if _tk:")
         body.append("    _ba((%d, 1, %d, %d))" % (last.pc, last.imm, flags))
         body.append("    return %d" % last.imm)
@@ -439,8 +439,8 @@ def _codegen(records, traced=False):
 
 
 def compile_block(records):
-    """Compile one straight-line run of :class:`~repro.isa.predecode.
-    PDInst` records into a :class:`Superblock`."""
+    """Compile one straight-line run of :class:`~repro.isa.instruction.
+    Instruction` records into a :class:`Superblock`."""
     return Superblock(tuple(records), _codegen(records)[0])
 
 
@@ -452,11 +452,10 @@ def discover_leaders(program):
     target and every post-branch fall-through (which covers both
     not-taken paths and jal return sites). Only pcs addressing real
     instructions qualify."""
-    pd = program.predecode()
-    by_pc = pd.by_pc
+    by_pc = program.predecode()
     leaders = set()
     candidates = [program.entry]
-    for rec in pd.records:
+    for rec in program.instructions:
         if rec.kind == KIND_BRANCH:
             candidates.append(rec.next_pc)
             if rec.target is not None:
@@ -477,7 +476,7 @@ def build_superblocks(program, max_insts=MAX_BLOCK_INSTS):
     than ``max_insts`` are capped and chain into a synthetic leader at
     the cap boundary.
     """
-    by_pc = program.predecode().by_pc
+    by_pc = program.predecode()
     worklist = sorted(discover_leaders(program))
     blocks = {}
     while worklist:

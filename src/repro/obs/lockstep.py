@@ -1,13 +1,14 @@
 """Lockstep differential checking of the O3 core against the emulator.
 
-The end-of-run cosimulation tests compare final registers and memory,
-which tells you *that* a run diverged but not *where*. This checker
-replays the golden-model :class:`~repro.emu.emulator.Emulator` one
-instruction per O3 :class:`~repro.obs.events.CommitEvent` and compares
-every commit as it happens — committed PC, destination value, store
-address and data — so a correctness bug is localised to the exact first
-divergent commit, together with the last-N-events ring-buffer dump
-leading up to it.
+Comparing only final registers and memory tells you *that* a run
+diverged but not *where*. This checker replays the golden-model
+:class:`~repro.emu.emulator.Emulator` one instruction per O3
+:class:`~repro.obs.events.CommitEvent` and compares every commit as it
+happens — committed PC, destination value, store address and data — so
+a correctness bug is localised to the exact first divergent commit,
+together with the last-N-events ring-buffer dump leading up to it. The
+final registers and memory are compared as well, so every cosimulation
+test runs under this checker.
 """
 
 from repro.emu.emulator import Emulator

@@ -5,15 +5,13 @@ commit, accumulating state. Squash reuse and the RI baseline read and
 write the rename-related fields (physical registers, RGIDs, reuse flags).
 """
 
-from repro.isa.predecode import predecode_inst
-
 
 class DynInst:
     """One in-flight dynamic instruction."""
 
     __slots__ = (
         # identity
-        "seq", "pc", "inst", "pd", "block_id", "fetch_cycle",
+        "seq", "pc", "inst", "block_id", "fetch_cycle",
         # control prediction state (branches only)
         "pred_npc", "bp_meta", "ras_snap", "actual_npc", "mispredicted",
         # rename state
@@ -30,13 +28,10 @@ class DynInst:
         "is_branch", "is_load", "is_store",
     )
 
-    def __init__(self, seq, pc, inst, block_id, fetch_cycle, pd=None):
+    def __init__(self, seq, pc, inst, block_id, fetch_cycle):
         self.seq = seq
         self.pc = pc
         self.inst = inst
-        # Predecoded record: the fetch unit passes the program's cached
-        # one; direct constructions (unit tests) derive it on the fly.
-        self.pd = pd if pd is not None else predecode_inst(inst)
         self.block_id = block_id
         self.fetch_cycle = fetch_cycle
 

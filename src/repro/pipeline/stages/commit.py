@@ -70,16 +70,16 @@ class CommitStage:
                     if on_preg_freed is not None:
                         on_preg_freed(old)
             if head.is_branch:
-                pd = head.pd
-                if pd.is_cond_branch:
+                inst = head.inst
+                if inst.is_cond_branch:
                     obs.cond_branch(head.mispredicted)
                     if head.bp_meta is not None:
                         self.predictor.update(
-                            pd.pc, head.actual_npc != pd.next_pc,
+                            inst.pc, head.actual_npc != inst.next_pc,
                             head.bp_meta)
-                elif pd.is_indirect:
+                elif inst.is_indirect:
                     obs.indirect_branch(head.mispredicted)
-                    self.btb.install(pd.pc, head.actual_npc)
+                    self.btb.install(inst.pc, head.actual_npc)
             retired = head.block_id - 1
             if retired > state.last_retired_block:
                 self.fetch.retire_block(retired)
@@ -87,7 +87,7 @@ class CommitStage:
 
             obs.commit(head)
             state.last_commit_cycle = state.cycle
-            if head.pd.is_halt:
+            if head.inst.is_halt:
                 state.halted = True
                 return
             if state.commit_limit is not None \

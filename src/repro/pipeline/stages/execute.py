@@ -3,17 +3,16 @@
 Selects ready instructions from the issue queues, claims the
 function-unit ports (ALU / BRU / LSU per cycle, plus the unpipelined
 divider, whose busy horizon the stage keeps) and executes each issued
-instruction through its predecoded record and the LSQ's speculative
-datapath. Completions are scheduled into the
-:class:`~repro.pipeline.latches.CompletionQueue` latch at
+instruction through its :class:`~repro.isa.instruction.Instruction`
+fields and the LSQ's speculative datapath. Completions are scheduled
+into the :class:`~repro.pipeline.latches.CompletionQueue` latch at
 ``cycle + latency``; the writeback stage picks them up.
 """
 
 from operator import attrgetter
 
-from repro.isa.opcodes import Op
-from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
-                                 KIND_LOAD, KIND_MUL, KIND_NOP, KIND_STORE)
+from repro.isa.opcodes import (KIND_ALU, KIND_BRANCH, KIND_DIV, KIND_LOAD,
+                               KIND_MUL, KIND_NOP, KIND_STORE, Op)
 from repro.utils.bits import MASK64, sext32
 
 _SEQ_KEY = attrgetter("seq")
@@ -51,8 +50,8 @@ class ExecuteStage:
         self.fwd_latency = cfg.mem.l1d_latency
         self.completions = state.completions
         self.obs = state.obs
-        # Execute latency indexed by PDInst.kind (branch/load handlers
-        # compute their own).
+        # Execute latency indexed by Instruction.kind (branch/load
+        # handlers compute their own).
         self.kind_latency = (
             cfg.alu_latency, cfg.mul_latency, cfg.div_latency,
             cfg.branch_latency, 0, cfg.store_latency,
@@ -89,7 +88,7 @@ class ExecuteStage:
                 if not take:
                     remaining.append(dyn)
                     continue
-                kind = dyn.pd.kind
+                kind = dyn.inst.kind
                 if kind == KIND_ALU or kind == KIND_MUL or kind >= KIND_NOP:
                     granted = alu_used < num_alu
                     if granted:
@@ -118,7 +117,7 @@ class ExecuteStage:
             iq.ready = remaining
 
     def _execute_inst(self, dyn):
-        pd = dyn.pd
+        inst = dyn.inst
         dyn.issued = True
         cycle = self.state.cycle
         dyn.issue_cycle = cycle
@@ -127,24 +126,24 @@ class ExecuteStage:
             obs.emit_issue(dyn)
         values = self.regfile.values
         sp = dyn.srcs_preg
-        kind = pd.kind
+        kind = inst.kind
 
         if kind <= KIND_DIV:           # alu / mul / div
             latency = self.kind_latency[kind]
-            if pd.has_imm:
-                dyn.result = pd.alu_fn(values[sp[0]], pd.imm_u) \
-                    if pd.num_srcs else pd.imm_u
+            if inst.has_imm:
+                dyn.result = inst.alu_fn(values[sp[0]], inst.imm_u) \
+                    if inst.num_srcs else inst.imm_u
             else:
-                dyn.result = pd.alu_fn(values[sp[0]], values[sp[1]])
+                dyn.result = inst.alu_fn(values[sp[0]], values[sp[1]])
         elif kind == KIND_BRANCH:
             latency = self._execute_branch(dyn, values, sp)
         elif kind == KIND_LOAD:
             latency = self._execute_load(dyn, values, sp)
         elif kind == KIND_STORE:
-            addr = (values[sp[1]] + pd.imm) & MASK64
+            addr = (values[sp[1]] + inst.imm) & MASK64
             dyn.mem_addr = addr
-            dyn.mem_size = pd.mem_size
-            dyn.store_data = values[sp[0]] & pd.store_mask
+            dyn.mem_size = inst.mem_size
+            dyn.store_data = values[sp[0]] & inst.store_mask
             if self.dport is not None:
                 latency = self.kind_latency[KIND_STORE] \
                     + self.dport.request(cycle, addr, is_write=True,
@@ -163,31 +162,31 @@ class ExecuteStage:
             pending.append(dyn)
 
     def _execute_branch(self, dyn, values, sp):
-        pd = dyn.pd
-        fallthrough = pd.next_pc
-        op = pd.op
+        inst = dyn.inst
+        fallthrough = inst.next_pc
+        op = inst.op
         if op is Op.JAL:
-            dyn.actual_npc = pd.target
+            dyn.actual_npc = inst.target
             dyn.result = fallthrough
         elif op is Op.JALR:
-            dyn.actual_npc = (values[sp[0]] + pd.imm) & MASK64 & ~1
+            dyn.actual_npc = (values[sp[0]] + inst.imm) & MASK64 & ~1
             dyn.result = fallthrough
         else:
-            taken = pd.branch_fn(values[sp[0]], values[sp[1]])
-            dyn.actual_npc = pd.target if taken else fallthrough
+            taken = inst.branch_fn(values[sp[0]], values[sp[1]])
+            dyn.actual_npc = inst.target if taken else fallthrough
         return self.kind_latency[KIND_BRANCH]
 
     def _execute_load(self, dyn, values, sp):
-        pd = dyn.pd
+        inst = dyn.inst
         if dyn.verify_load:
             addr = dyn.mem_addr  # logged by the reuse scheme
         else:
-            addr = (values[sp[0]] + pd.imm) & MASK64
+            addr = (values[sp[0]] + inst.imm) & MASK64
             dyn.mem_addr = addr
-            dyn.mem_size = pd.mem_size
-        value, forwarded = self.lsq.speculative_read(addr, pd.mem_size,
+            dyn.mem_size = inst.mem_size
+        value, forwarded = self.lsq.speculative_read(addr, inst.mem_size,
                                                      dyn.seq)
-        if pd.is_lw:
+        if inst.is_lw:
             value = sext32(value)
         if dyn.verify_load:
             # Stash the re-read value for comparison at writeback.

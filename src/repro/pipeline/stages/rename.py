@@ -13,7 +13,7 @@ register, IQ overflow). Only a successful reuse leaves the loop
 (:meth:`RenameDispatchStage._apply_reuse`).
 """
 
-from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
+from repro.isa.opcodes import KIND_LOAD, KIND_NOP, KIND_STORE
 from repro.pipeline.regfile import IN_FLIGHT
 from repro.pipeline.rename import NULL_RGID
 
@@ -56,7 +56,7 @@ class RenameDispatchStage:
         head = dq[0]
         if head.fetch_cycle > frontier or len(rob) >= rob_entries:
             return
-        kind = head.pd.kind
+        kind = head.inst.kind
         if kind < KIND_NOP:
             iq = self.mem_iq if kind >= KIND_LOAD else self.int_iq
             if iq.size >= iq.capacity:
@@ -87,8 +87,8 @@ class RenameDispatchStage:
             # -- dispatch resources ------------------------------------
             if len(rob) >= rob_entries:
                 return
-            pd = dyn.pd
-            kind = pd.kind
+            inst = dyn.inst
+            kind = inst.kind
             if kind == KIND_LOAD:
                 iq = mem_iq
                 if iq.size >= iq.capacity or len(loads) >= lsq.lq_entries:
@@ -103,7 +103,7 @@ class RenameDispatchStage:
                     return
             else:
                 iq = None                  # nop / halt
-            writes_reg = pd.writes_reg
+            writes_reg = inst.writes_reg
             if writes_reg and not free:
                 # Condition (5): reclaim squash-log registers under
                 # pressure.
@@ -112,26 +112,26 @@ class RenameDispatchStage:
             dq.popleft()
 
             # -- rename ------------------------------------------------
-            num_srcs = pd.num_srcs
+            num_srcs = inst.num_srcs
             if num_srcs == 0:
                 sp = ()
             elif num_srcs == 1:
-                sp = (rmap[pd.src0],)
+                sp = (rmap[inst.src0],)
             else:
-                sp = (rmap[pd.src0], rmap[pd.src1])
+                sp = (rmap[inst.src0], rmap[inst.src1])
             dyn.srcs_preg = sp
             if track_rgids:
                 if num_srcs == 0:
                     dyn.src_rgids = ()
                 elif num_srcs == 1:
-                    dyn.src_rgids = (rgids[pd.src0],)
+                    dyn.src_rgids = (rgids[inst.src0],)
                 else:
-                    dyn.src_rgids = (rgids[pd.src0], rgids[pd.src1])
+                    dyn.src_rgids = (rgids[inst.src0], rgids[inst.src1])
             reused = False
             if writes_reg:
                 result = None
-                if try_reuse is not None and not pd.is_branch \
-                        and not pd.is_store:
+                if try_reuse is not None and not inst.is_branch \
+                        and not inst.is_store:
                     result = try_reuse(dyn)
                 if result is not None and result.preg is not None:
                     # Integration-style: adopt the squashed destination.
@@ -143,7 +143,7 @@ class RenameDispatchStage:
                     preg = free.pop()
                     reg_states[preg] = IN_FLIGHT
                     ready[preg] = False
-                    areg = pd.dest
+                    areg = inst.dest
                     dyn.dest_areg = areg
                     dyn.old_preg = rmap[areg]
                     dyn.old_rgid = rgids[areg]
@@ -223,4 +223,4 @@ class RenameDispatchStage:
         if dyn.is_load and result.verify_addr is not None:
             dyn.verify_load = True
             dyn.mem_addr = result.verify_addr
-            dyn.mem_size = dyn.pd.mem_size
+            dyn.mem_size = dyn.inst.mem_size

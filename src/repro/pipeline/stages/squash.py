@@ -15,7 +15,7 @@ loads and stores and the IQ slot count.
 """
 
 from repro.isa.instruction import INST_BYTES
-from repro.isa.predecode import KIND_LOAD, KIND_NOP, KIND_STORE
+from repro.isa.opcodes import KIND_LOAD, KIND_NOP, KIND_STORE
 from repro.pipeline.regfile import FREE, RESERVED
 
 
@@ -140,7 +140,7 @@ class SquashUnit:
                     if on_preg_freed is not None:
                         on_preg_freed(preg)
             if not dyn.issued:
-                kind = dyn.pd.kind
+                kind = dyn.inst.kind
                 if kind < KIND_NOP and (dyn.verify_load or not dyn.reused):
                     if kind == KIND_LOAD or kind == KIND_STORE:
                         mem_drained += 1

@@ -39,6 +39,7 @@ from repro.isa.superblock import (
     FLAG_RET,
 )
 from repro.obs.bus import Observability
+from repro.pipeline.config import _check_positive
 from repro.pipeline.core import O3Core
 from repro.pipeline.stats import SimStats
 from repro.sampling.bbv import DEFAULT_INTERVAL, profile_program
@@ -78,12 +79,13 @@ class SamplingSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if self.interval_insts <= 0:
-            raise ValueError("interval_insts must be positive")
-        if self.max_k <= 0:
-            raise ValueError("max_k must be positive")
-        if self.detail_warmup_insts < 0:
-            raise ValueError("detail_warmup_insts must be >= 0")
+        _check_positive(self, "interval_insts", "max_k", "dims")
+        # 0 disables a warmup.
+        for name in ("warmup_branches", "warmup_mem",
+                     "detail_warmup_insts"):
+            if getattr(self, name) < 0:
+                raise ValueError("%s must be >= 0, got %r"
+                                 % (name, getattr(self, name)))
 
     @classmethod
     def from_any(cls, value):

@@ -46,8 +46,8 @@ import collections
 from itertools import chain, compress, filterfalse, repeat
 from operator import attrgetter, is_not, le, lt
 
-from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
-                                 KIND_LOAD, KIND_MUL, KIND_STORE)
+from repro.isa.opcodes import (KIND_ALU, KIND_BRANCH, KIND_DIV, KIND_LOAD,
+                               KIND_MUL, KIND_STORE)
 from repro.isa.registers import NUM_ARCH_REGS
 from repro.obs.sinks import MetricsSink
 from repro.pipeline.core import O3Core
@@ -64,7 +64,7 @@ _WAIT = attrgetter("wait_count")
 _IS_LOAD = attrgetter("is_load")
 _IS_STORE = attrgetter("is_store")
 _REUSED = attrgetter("reused")
-_KIND = attrgetter("pd.kind")
+_KIND = attrgetter("inst.kind")
 
 #: The instruction kinds each issue queue takes (nops and halts go into
 #: none).

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.utils.bits import (
-    MASK64, wrap64, to_signed, to_unsigned, sll64, srl64, sra64,
+    MASK64, wrap64, to_signed, to_unsigned, sext32, sll64, srl64, sra64,
     div_trunc, rem_trunc, mulh64,
 )
 
@@ -28,6 +28,31 @@ def test_signed_round_trip_extremes():
 @given(s64)
 def test_signed_unsigned_round_trip(value):
     assert to_signed(to_unsigned(value)) == value
+
+
+def _sext32_reference(value):
+    return (((value & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000) & MASK64
+
+
+def test_sext32_edges():
+    """``lw``'s sign extension: bits above 31 are ignored, bit 31 is
+    copied into bits 32-63."""
+    cases = {
+        0: 0,
+        0x7FFFFFFF: 0x7FFFFFFF,
+        0x80000000: 0xFFFFFFFF80000000,
+        0xFFFFFFFF: MASK64,
+        0x1234_5678_0000_0001: 1,
+        0xFFFF_FFFF_7FFF_FFFF: 0x7FFFFFFF,
+        0x0000_0001_8000_0000: 0xFFFFFFFF80000000,
+    }
+    for value, expected in cases.items():
+        assert sext32(value) == expected == _sext32_reference(value)
+
+
+@given(u64)
+def test_sext32_matches_reference(value):
+    assert sext32(value) == _sext32_reference(value)
 
 
 @given(u64, st.integers(min_value=0, max_value=127))

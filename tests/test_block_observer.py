@@ -198,7 +198,7 @@ def test_block_fault_reports_exact_prefix():
     intervals, _leader, _trace, state = fast
     regs, _mem, pc, inst_count, _halted, progress = state[:6]
     assert inst_count == sum(sum(c.values()) for c in intervals) == 17
-    assert prog.predecode().by_pc[pc].is_load
+    assert prog.predecode()[pc].is_load
     assert progress == 0
     assert regs[5] == 3 + 4                        # t0: the prefix retired
     assert state[6:] == (prog.data.addr_of("buf"), 8, False)

@@ -33,16 +33,16 @@ def test_registry_covers_every_declared_variable():
     names = [var.name for var, _raw, _parsed in report]
     assert names == sorted(names)
     assert "REPRO_JOBS" in names
-    assert len(names) == 11
+    assert len(names) == 10
 
 
 def test_envreg_typed_parsing():
     env = {"REPRO_JOBS": "8", "REPRO_BENCH_SCALE": "0.3",
-           "REPRO_LOCKSTEP": "yes", "REPRO_FULL": "0"}
+           "REPRO_FULL": "yes", "REPRO_SLOWPATH": "0"}
     assert envreg.get("REPRO_JOBS", env=env) == 8
     assert envreg.get("REPRO_BENCH_SCALE", env=env) == 0.3
-    assert envreg.get("REPRO_LOCKSTEP", env=env) is True
-    assert envreg.get("REPRO_FULL", env=env) is False
+    assert envreg.get("REPRO_FULL", env=env) is True
+    assert envreg.get("REPRO_SLOWPATH", env=env) is False
 
 
 def test_envreg_unparsable_falls_back_to_default():
@@ -314,7 +314,7 @@ _PINNED = [
 
 def _old_spec(job):
     """The seed harness's spec shape (params, no resolved snapshot)."""
-    from repro.isa.predecode import PREDECODE_VERSION
+    from repro.isa.instruction import PREDECODE_VERSION
     return json.dumps({
         "workload": job.workload, "kind": job.kind, "scale": job.scale,
         "params": [[k, v] for k, v in job.params],

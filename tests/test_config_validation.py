@@ -9,6 +9,7 @@ fail-at-construction behaviour with did-you-mean suggestions.
 import pytest
 
 from repro.frontend.predictors import build_predictor
+from repro.harness.jobs import build_scheme
 from repro.pipeline.config import (MEMORY_HAZARD_SCHEMES, PREDICTOR_KINDS,
                                    CoreConfig, MemConfig, MSSRConfig,
                                    RIConfig, baseline_config, mssr_config,
@@ -99,6 +100,18 @@ def test_ri_rejects_non_positive():
     with pytest.raises(ValueError, match="assoc"):
         RIConfig(assoc=-2)
     assert ri_config(num_sets=64, assoc=2).ri.num_sets == 64
+
+
+@pytest.mark.parametrize("key, value", [("dir.num_sets", 0),
+                                        ("dir.assoc", 0),
+                                        ("dir.num_sets", -4)])
+def test_dir_rejects_non_positive(key, value):
+    """DIR's reuse-buffer geometry is range-checked like RI's table, so
+    a bad value fails at construction, not mid-simulation."""
+    name = key.partition(".")[2]
+    with pytest.raises(ValueError, match="%s must be >= 1" % name):
+        build_scheme("dir", {key: value})
+    assert getattr(build_scheme("dir", {key: 2}).config, name) == 2
 
 
 def test_defaults_still_construct():

@@ -1,13 +1,11 @@
 """Master invariant: squash reuse never changes architectural results.
 
-Every workload runs on the O3 core under baseline, MSSR and RI and the
-final registers + memory must equal the functional emulator's. This is
-the test that catches register-lifetime and RGID-soundness bugs.
-
-Setting ``REPRO_LOCKSTEP=1`` switches every cosimulation to the deep
-mode: the emulator is stepped commit-by-commit alongside the core
-(:func:`repro.obs.run_lockstep`), so a divergence is reported at the
-exact first wrong commit instead of as a final-state diff.
+Every workload runs on the O3 core under baseline, MSSR and RI, with
+the functional emulator stepped commit by commit alongside it
+(:func:`repro.obs.run_lockstep`): every committed pc, destination value
+and store must match, and so must the final registers and memory. A
+divergence is reported at the exact first wrong commit. This is the
+test that catches register-lifetime and RGID-soundness bugs.
 
 Every run is on a :class:`~tests.invariants.CheckedCore` that checks
 the machine's structures at the start of every ``_STRIDE``-th cycle
@@ -17,8 +15,6 @@ configuration).
 
 import pytest
 
-from repro.config import envreg
-from repro.emu import Emulator
 from repro.obs import run_lockstep
 from repro.pipeline import baseline_config, mssr_config, ri_config
 from repro.workloads import get_workload
@@ -26,9 +22,6 @@ from repro.workloads import get_workload
 from tests.invariants import checked
 
 _SCALE = 0.08
-
-#: Opt-in deep mode: lockstep-check every commit (slower, more precise).
-_LOCKSTEP = envreg.get("REPRO_LOCKSTEP")
 
 # A representative subset per scheme keeps runtime reasonable; the full
 # matrix runs in the benchmark suite.
@@ -46,17 +39,9 @@ _STRIDE = 128
 def _cosim(name, config):
     workload = get_workload(name)
     _mod, prog = workload.build(_SCALE)
-    core_factory = checked(every=_STRIDE)
-    if _LOCKSTEP:
-        outcome = run_lockstep(prog, config, core_factory=core_factory)
-        assert outcome.ok, \
-            "%s:\n%s" % (name, outcome.divergence.format())
-        return outcome.result
-    emu = Emulator(prog).run()
-    result = core_factory(prog, config).run()
-    assert result.regs == emu.regs, name
-    assert result.memory == emu.memory, name
-    return result
+    outcome = run_lockstep(prog, config,
+                           core_factory=checked(every=_STRIDE))
+    assert outcome.ok, "%s:\n%s" % (name, outcome.divergence.format())
 
 
 @pytest.mark.parametrize("name", _BASELINE_SET)

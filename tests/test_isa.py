@@ -85,7 +85,7 @@ def test_instruction_classification():
     assert beq.is_branch and beq.is_cond_branch and not beq.is_indirect
     jalr = Instruction(Op.JALR, dest=0, srcs=(1,), pc=4)
     assert jalr.is_branch and jalr.is_indirect and not jalr.is_cond_branch
-    assert jalr.taken_target() is None
+    assert jalr.target is None
     load = Instruction(Op.LD, dest=3, srcs=(4,), imm=8, pc=8)
     assert load.is_load and not load.is_store
     store = Instruction(Op.SD, srcs=(3, 4), imm=8, pc=12)

@@ -1,23 +1,24 @@
-"""Predecode layer: field correspondence and fast/slow-path identity.
+"""Static-instruction fields and fast/slow-path identity.
 
-The predecoded records must be *unobservable*: every field mirrors
-``inst``/``inst.info`` exactly, an emulation through the superblocks
-compiled from them produces byte-identical results to the interpretive
+The fields an :class:`~repro.isa.instruction.Instruction` precomputes
+for the hot paths must be *unobservable*: every one mirrors its opcode's
+``OpInfo`` exactly, an emulation through the superblocks compiled from
+the instructions produces byte-identical results to the interpretive
 ``Emulator._execute`` (every instruction under ``REPRO_SLOWPATH=1``, the
-ISA oracle), and the core, which executes only predecoded records,
-commits exactly what that oracle executes.
+ISA oracle), and the core, which executes from those fields, commits
+exactly what that oracle executes.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.emu import Emulator
+from repro.emu.emulator import slowpath_enabled
 from repro.isa import Assembler, Instruction, Op
-from repro.isa.opcodes import OPCODE_INFO, OpClass
-from repro.isa.predecode import (KIND_ALU, KIND_BRANCH, KIND_DIV,
-                                 KIND_HALT, KIND_LOAD, KIND_MUL, KIND_NOP,
-                                 KIND_STORE, predecode_inst,
-                                 slowpath_enabled)
+from repro.isa.instruction import INST_BYTES
+from repro.isa.opcodes import (KIND_ALU, KIND_BRANCH, KIND_DIV, KIND_HALT,
+                               KIND_LOAD, KIND_MUL, KIND_NOP, KIND_STORE,
+                               OPCODE_INFO, OpClass)
 from repro.pipeline import baseline_config, mssr_config
 from repro.utils.bits import to_unsigned
 from repro.workloads import get_workload
@@ -47,38 +48,30 @@ def _synthesize(op, pc=0x1000):
         pc=pc)
 
 
-def test_pdinst_fields_match_info_for_every_opcode():
-    """Every flattened field equals its inst / OpInfo source of truth."""
+def test_instruction_fields_match_info_for_every_opcode():
+    """Every precomputed field equals its OpInfo source of truth, and
+    the kind order the stages test with ``<=``/``>=`` holds."""
     for op, info in OPCODE_INFO.items():
         inst = _synthesize(op)
-        rec = predecode_inst(inst)
-        assert rec.inst is inst
-        assert rec.op is op
-        assert rec.op_class is info.op_class
-        assert rec.kind == _CLASS_TO_KIND[info.op_class]
-        assert rec.pc == inst.pc
-        assert rec.next_pc == inst.next_pc()
-        assert rec.dest == inst.dest
-        assert rec.num_srcs == len(inst.srcs) == info.num_srcs
-        assert rec.src0 == (inst.srcs[0] if inst.srcs else None)
-        assert rec.src1 == (inst.srcs[1] if len(inst.srcs) > 1 else None)
-        assert rec.imm == inst.imm
-        assert rec.imm_u == (to_unsigned(inst.imm) if info.has_imm else 0)
-        assert rec.has_imm == info.has_imm
-        assert rec.target == inst.taken_target()
-        assert rec.writes_reg == inst.writes_reg
-        assert rec.is_branch == inst.is_branch
-        assert rec.is_cond_branch == inst.is_cond_branch
-        assert rec.is_indirect == inst.is_indirect
-        assert rec.is_load == inst.is_load
-        assert rec.is_store == inst.is_store
-        assert rec.is_halt == inst.is_halt
-        assert rec.is_lw == (op is Op.LW)
-        assert rec.mem_size == info.mem_size
-        if info.mem_size:
-            assert rec.store_mask == (1 << (info.mem_size * 8)) - 1
-        assert rec.alu_fn is info.alu_fn
-        assert rec.branch_fn is info.branch_fn
+        kind = _CLASS_TO_KIND[info.op_class]
+        assert inst.kind == info.kind == kind
+        assert (kind <= KIND_DIV) == (info.op_class in (
+            OpClass.ALU, OpClass.MUL, OpClass.DIV))
+        assert (kind >= KIND_NOP) == (info.op_class in (
+            OpClass.NOP, OpClass.HALT))
+        assert inst.next_pc == inst.pc + INST_BYTES
+        assert inst.num_srcs == len(inst.srcs) == info.num_srcs
+        assert inst.src0 == (inst.srcs[0] if inst.srcs else None)
+        assert inst.src1 == (inst.srcs[1] if len(inst.srcs) > 1 else None)
+        assert inst.imm_u == (to_unsigned(inst.imm) if info.has_imm else 0)
+        assert inst.has_imm == info.has_imm
+        assert inst.target == (None if op is Op.JALR else inst.imm)
+        assert inst.is_lw == (op is Op.LW)
+        assert inst.mem_size == info.mem_size
+        assert inst.store_mask == ((1 << (info.mem_size * 8)) - 1
+                                   if info.mem_size else 0)
+        assert inst.alu_fn is info.alu_fn
+        assert inst.branch_fn is info.branch_fn
 
 
 def test_x0_dest_load_predecodes_without_writeback():
@@ -86,7 +79,7 @@ def test_x0_dest_load_predecodes_without_writeback():
     still happens: misaligned, it faults in both executors and leaves
     the same state."""
     inst = Instruction(Op.LD, dest=0, srcs=(6,), imm=0, pc=0x1000)
-    assert not predecode_inst(inst).writes_reg
+    assert not inst.writes_reg
     asm = Assembler()
     buf = asm.word_array("buf", [11, 22])
     asm.li("s0", buf)
@@ -102,17 +95,17 @@ def test_x0_dest_load_predecodes_without_writeback():
             emu.run_until(1000)
         states.append((list(emu.regs), emu.pc, emu.inst_count))
     assert states[0] == states[1]
-    assert prog.predecode().by_pc[states[0][1]].is_load
+    assert prog.predecode()[states[0][1]].is_load
     assert states[0][0][5] == 7          # t0: the prefix retired
 
 
 def test_unplaced_instruction_predecodes_without_closure():
-    """DynInsts built directly in unit tests have pc=None: the record
-    still carries the flattened fields, with no fall-through pc."""
-    rec = predecode_inst(Instruction(Op.ADD, dest=3, srcs=(1, 2)))
-    assert rec.pc is None
-    assert rec.next_pc is None
-    assert rec.kind == KIND_ALU
+    """Instructions built directly in unit tests have pc=None: they
+    still carry the hot-path fields, with no fall-through pc."""
+    inst = Instruction(Op.ADD, dest=3, srcs=(1, 2))
+    assert inst.pc is None
+    assert inst.next_pc is None
+    assert inst.kind == KIND_ALU
 
 
 def test_slowpath_env_parsing(monkeypatch):
@@ -126,14 +119,14 @@ def test_slowpath_env_parsing(monkeypatch):
 
 def test_program_predecode_is_cached_and_complete():
     _mod, prog = get_workload("nested-mispred").build(scale=0.05)
-    pd = prog.predecode()
-    assert prog.predecode() is pd
-    assert len(pd.records) == len(prog)
+    by_pc = prog.predecode()
+    assert prog.predecode() is by_pc
+    assert len(by_pc) == len(prog)
     for inst in prog.instructions:
-        assert pd.by_pc[inst.pc].inst is inst
+        assert by_pc[inst.pc] is inst
     # Membership == Program.has_pc for hits and misses alike.
-    assert prog.code_base in pd.by_pc
-    assert prog.code_end not in pd.by_pc
+    assert prog.code_base in by_pc
+    assert prog.code_end not in by_pc
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +148,10 @@ def test_core_lockstep_against_interpretive_emulator(monkeypatch):
     """The core checked commit by commit against the interpretive
     emulator (``REPRO_SLOWPATH=1``: ``Emulator._execute`` applies each
     opcode's ``alu_fn``/``branch_fn``), for the plain pipeline and with
-    MSSR squash reuse active. The core has one execute path, the
-    predecoded one; ``tests/data/stage_parity_pinned.json`` pins both
-    configurations' stats."""
+    MSSR squash reuse active. The core has one execute path, which
+    reads the instructions' precomputed fields;
+    ``tests/data/stage_parity_pinned.json`` pins both configurations'
+    stats."""
     from repro.obs import run_lockstep
     monkeypatch.setenv("REPRO_SLOWPATH", "1")
     _mod, prog = get_workload("nested-mispred").build(scale=0.1)
@@ -185,8 +179,8 @@ def test_random_programs_fast_slow_identity(descriptors, seeds):
 
 def test_lockstep_green_on_fast_path(monkeypatch):
     """Commit-by-commit differential check passes without
-    ``REPRO_SLOWPATH``: the core runs its one (predecoded) execute path,
-    and the checker steps the interpretive emulator either way."""
+    ``REPRO_SLOWPATH``: the core runs its one execute path, and the
+    checker steps the interpretive emulator either way."""
     from repro.obs import run_lockstep
     monkeypatch.delenv("REPRO_SLOWPATH", raising=False)
     _mod, prog = get_workload("nested-mispred").build(scale=0.05)

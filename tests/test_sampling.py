@@ -565,6 +565,28 @@ def test_sampling_spec_validation():
     assert SamplingSpec.from_any(spec) is spec
 
 
+@pytest.mark.parametrize("name, value", [("dims", 0), ("dims", -1),
+                                         ("warmup_branches", -5),
+                                         ("warmup_mem", -1)])
+def test_sampling_spec_rejects_out_of_range_knobs(name, value, capsys):
+    """Zero projection dimensions (a ZeroDivisionError after a whole
+    profile), negative dimensions (a silently different selection) and
+    negative warmups (which ran like no warmup) are refused at
+    construction, and by the CLI with exit status 2. A warmup of 0 still
+    means none."""
+    with pytest.raises(ValueError, match="%s must be >= " % name):
+        SamplingSpec(**{name: value})
+    assert SamplingSpec(warmup_branches=0, warmup_mem=0,
+                        detail_warmup_insts=0).warmup_mem == 0
+    flag = {"warmup_branches": "--warmup-branches",
+            "warmup_mem": "--warmup-mem"}.get(name)
+    if flag is not None:
+        assert cli_main(["run", "--workload", "linear-mispred",
+                         "--scale", "0.05", "--no-cache", "--sampled",
+                         flag, str(value)], out=io.StringIO()) == 2
+        assert "%s must be >= 0" % name in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Harness integration
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 from repro.harness.jobs import build_config, build_scheme
 from repro.isa import Assembler, Instruction, Op
 from repro.isa.opcodes import OPCODE_INFO, OpClass
-from repro.isa.predecode import predecode_inst
 from repro.obs import CallbackSink, Observability
 from repro.obs.events import (IssueEvent, RenameEvent, SquashEvent,
                               WritebackEvent)
@@ -239,7 +238,7 @@ def _latency(config, op_class):
 
 
 def test_latencies():
-    """Per opcode, execute's latency for the predecoded kind is the
+    """Per opcode, execute's latency for the instruction's kind is the
     config latency of the opcode's class (loads time their own access);
     on a run, every register op writes back that many cycles after it
     issues."""
@@ -253,7 +252,7 @@ def test_latencies():
         inst = Instruction(op, dest=5 if info.has_dest else None,
                            srcs=(6, 7)[:info.num_srcs],
                            imm=0x1000 if info.has_imm else 0, pc=0x1000)
-        assert stage.kind_latency[predecode_inst(inst).kind] == \
+        assert stage.kind_latency[inst.kind] == \
             _latency(config, info.op_class), op
 
     asm = Assembler()

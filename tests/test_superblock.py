@@ -15,7 +15,7 @@ from repro.emu import Emulator
 from repro.emu.emulator import EmulationError
 from repro.isa import Assembler, Op
 from repro.isa.instruction import INST_BYTES
-from repro.isa.predecode import KIND_BRANCH, KIND_HALT
+from repro.isa.opcodes import KIND_BRANCH, KIND_HALT
 from repro.isa.superblock import (MAX_BLOCK_INSTS, build_superblocks,
                                   discover_leaders)
 from repro.utils.bits import MASK64
@@ -276,7 +276,7 @@ def test_superblock_midblock_raise_exact_inst_count():
     emu = Emulator(faulting)
     with pytest.raises(ValueError):
         emu.run_until(BUDGET)
-    assert emu.program.predecode().by_pc[emu.pc].is_load
+    assert emu.program.predecode()[emu.pc].is_load
     assert emu._sb_progress == 0   # reset after commit
 
 
@@ -289,7 +289,7 @@ def test_superblock_resume_after_midblock_raise():
         with pytest.raises(ValueError):
             emu.run_until(BUDGET)
         # Skip the faulting load by hand, then resume.
-        emu.pc = emu.program.predecode().by_pc[emu.pc].next_pc
+        emu.pc = emu.program.predecode()[emu.pc].next_pc
         assert emu.run_until(BUDGET)
         results.append(_state(emu.result()))
     assert results[0] == results[1]
@@ -477,7 +477,7 @@ def test_superblock_table_structure():
     table = prog.superblocks()
     assert prog.superblocks() is table    # cached on the program
 
-    by_pc = prog.predecode().by_pc
+    by_pc = prog.predecode()
     leaders = discover_leaders(prog)
     assert prog.entry in leaders
     assert prog.label_pc("loop") in leaders
